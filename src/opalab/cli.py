@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--f", required=True, help="coefficient JSON for f")
     solve.add_argument("--n", type=int, help="approximant order")
     solve.add_argument("--alpha", type=float, help="space weight exponent (default 0)")
-    solve.add_argument("--solver", choices=["dense", "toeplitz"], help="default dense")
+    solve.add_argument("--solver", choices=["dense", "toeplitz"], help="accepted and ignored")
     common(solve)
 
     conv = opa_sub.add_parser("converge", help="error profile over orders 0..n-max")
@@ -226,9 +226,8 @@ def _cmd_opa_solve(args, config):
     if n is None:
         raise InvalidInputError("opa solve needs --n (or n in the config file)")
     alpha = _setting(args, config, "alpha", 0.0, float)
-    solver = _setting(args, config, "solver", "dense", str)
-    result = opa_solve(f, int(n), AlphaWeight(alpha), solver=solver)
-    inputs = {"f": to_jsonable(f), "n": int(n), "alpha": alpha, "solver": solver}
+    result = opa_solve(f, int(n), AlphaWeight(alpha))
+    inputs = {"f": to_jsonable(f), "n": int(n), "alpha": alpha}
     outputs = {
         "Q": to_jsonable(result.Q),
         "residual": result.residual,

@@ -56,7 +56,7 @@ class ApproximationBudgetError(BudgetError):
 
 
 class ConvergenceFailureError(BudgetError):
-    """An iterative solver stopped making progress."""
+    """An iterative method stopped making progress."""
 
 
 class ConstructionError(BudgetError):

@@ -24,20 +24,20 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .opa import opa_solve
+from .opa import _opa_orders, opa_solve
 from .series import CoeffSeries, evaluate, multiply
 from .spaces import AlphaWeight, norm_alpha
-from .zerofree import _padded_sum, _space_alpha, simultaneous_zero_free
+from .zerofree import _normalize_targets, _padded_sum, _space_alpha, simultaneous_zero_free
 
 M_SEARCH_CAP = 16384
-TOEPLITZ_PROBE_MIN = 512
+SEARCH_BLOCK = 64
 DELTA_ROUNDS = 6
 F_TRUNCATION = 512
 
 
 @dataclass(frozen=True, eq=False)
 class StructuredProduct:
-    unimodular_scalar: complex
+    scalar: complex
     inner_zeros: tuple
     P: CoeffSeries
 
@@ -57,59 +57,25 @@ class SteerResult:
     achieved: AchievedErrors
 
 
-def _reference_values(target, E: BoundarySet, zs: np.ndarray) -> np.ndarray:
-    if isinstance(target, CoeffSeries):
-        return np.asarray([evaluate(target, z) for z in zs])
-    if isinstance(target, dict):
-        out = np.empty(len(zs), dtype=np.complex128)
-        keys = [(float(t), complex(v)) for t, v in target.items()]
-        for i, p in enumerate(E.points):
-            hit = [v for t, v in keys if abs((t - p + np.pi) % (2 * np.pi) - np.pi) < 1e-9]
-            if len(hit) != 1:
-                raise InvalidInputError("target must assign exactly one value per point of E")
-            out[i] = hit[0]
-        return out
-    return np.asarray(target, dtype=np.complex128)
-
-
 def opa_search_m(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWeight) -> int:
-    """Smallest probed m with sup over E of |Q_m - target| below tol.
+    """First order m with sup over E of |Q_m - target| below tol.
 
-    Doubling until the first success, then bisecting against the last
-    failure; convergence of the probed sup is not assumed monotone, so the
-    result is minimal only among probed orders.
+    One walk over the orders 0..M_SEARCH_CAP stops at the first that passes.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
-    if not E.points:
-        raise InvalidInputError("m search needs a nonempty point set E")
-    zs = np.exp(1j * np.asarray(E.points))
-    refs = _reference_values(target, E, zs)
-
-    def probe(m: int) -> bool:
-        solver = "toeplitz" if w.alpha == 0.0 and m > TOEPLITZ_PROBE_MIN else "dense"
-        Q = opa_solve(P, m, w, solver=solver).Q
-        sup = float(np.max(np.abs(np.asarray([evaluate(Q, z) for z in zs]) - refs)))
-        return sup < tol
-
-    if probe(0):
-        return 0
-    lo, hi = 0, 1
-    while not probe(hi):
-        lo = hi
-        hi *= 2
-        if hi > M_SEARCH_CAP:
-            raise ApproximationBudgetError(
-                "approximant order search exceeded its cap",
-                {"cap": M_SEARCH_CAP, "tol": tol},
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    refs = _normalize_targets(target, E)
+    thetas = np.asarray(E.points)
+    powers = np.ones((len(thetas), 0))
+    for m, (coeffs, _) in enumerate(_opa_orders(P, w, M_SEARCH_CAP, block=SEARCH_BLOCK)):
+        if m == powers.shape[1]:
+            powers = np.exp(1j * np.outer(thetas, np.arange(2 * m + 1)))
+        if np.max(np.abs(powers[:, : m + 1] @ coeffs - refs)) < tol:
+            return m
+    raise ApproximationBudgetError(
+        "approximant order search exceeded its cap",
+        {"cap": M_SEARCH_CAP, "tol": tol},
+    )
 
 
 def steer(
@@ -138,7 +104,7 @@ def steer(
     if f.coeffs[0] == 0.0:
         raise InvalidInputError("f(0) must be nonzero; divide out the z-power first")
     zs = np.exp(1j * np.asarray(E.points))
-    g_vals = np.asarray([evaluate(g, z) for z in zs])
+    g_vals = evaluate(g, zs)
     if np.min(np.abs(g_vals)) < 1e-14:
         raise InvalidInputError("g must be nonzero at every point of E")
 
@@ -163,9 +129,7 @@ def steer(
         zf = simultaneous_zero_free(
             h, inv_g, E, eps_space, space, boundary_eps=delta
         )
-        circle_gap_sup = float(
-            np.max(np.abs(g_vals - 1.0 / np.asarray([evaluate(zf.P, z) for z in zs])))
-        )
+        circle_gap_sup = float(np.max(np.abs(g_vals - 1.0 / evaluate(zf.P, zs))))
         if circle_gap_sup < eps / 2.0:
             break
         delta /= 2.0
@@ -176,10 +140,8 @@ def steer(
         )
     P = zf.P
 
-    inv_P = {float(t): 1.0 / evaluate(P, z) for t, z in zip(E.points, zs)}
-    m = opa_search_m(P, inv_P, E, eps / 2.0, w)
-    solver = "toeplitz" if w.alpha == 0.0 and m > TOEPLITZ_PROBE_MIN else "dense"
-    Q_m = opa_solve(P, m, w, solver=solver).Q
+    m = opa_search_m(P, 1.0 / evaluate(P, zs), E, eps / 2.0, w)
+    Q_m = opa_solve(P, m, w).Q
 
     deg_P = len(P.coeffs) - 1
     if inner_zeros:
@@ -190,9 +152,7 @@ def steer(
         F_coeffs = CoeffSeries(P.coeffs, 0.0)
 
     norm_error = norm_alpha(_padded_sum(F_coeffs, -f), w) + F_coeffs.tail_bound
-    boundary_error = float(
-        np.max(np.abs(np.asarray([evaluate(Q_m, z) for z in zs]) - g_vals))
-    )
+    boundary_error = float(np.max(np.abs(evaluate(Q_m, zs) - g_vals)))
     return SteerResult(
         StructuredProduct(sigma, inner_zeros, P),
         F_coeffs,

@@ -59,6 +59,10 @@ def test_opa_solve_artifact(files, capsys):
     assert q == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-12)
     assert art["outputs"]["residual_sq"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert art["diagnostics"]["elapsed_seconds"] >= 0.0
+    # --solver stays parseable for old command lines and changes nothing
+    code, again = run(["opa", "solve", "--f", files["f"], "--n", "1", "--solver", "toeplitz"], out)
+    assert code == 0 and "solver" not in again["inputs"]
+    assert again["outputs"] == art["outputs"]
 
 
 def test_opa_converge_writes_csv(files):

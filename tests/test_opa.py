@@ -6,13 +6,18 @@ numpy's generic lstsq.  No code is shared with the library's Gram or
 Levinson paths, so agreement is meaningful.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalab import (
     AlphaWeight,
     BoundarySet,
     CoeffSeries,
+    IllConditionedError,
     InvalidInputError,
     InvalidParameterError,
     blaschke_series,
@@ -20,12 +25,27 @@ from opalab import (
     evaluate,
     gram_matrix,
     multiply,
+    opa_search_m,
     opa_solve,
 )
 from opalab.opa import residual_projection
 
 H2 = AlphaWeight(0.0)
 DIR = AlphaWeight(1.0)
+
+
+def weighted_design(f_coeffs, n, alpha):
+    """Matrix of q -> q f (deg q <= n) in the weighted l2 metric, and the
+    weighted coefficient vector of the constant 1."""
+    f = np.asarray(f_coeffs, complex)
+    L = len(f) + n
+    weights = np.sqrt((np.arange(L) + 1.0) ** alpha)
+    design = np.zeros((L, n + 1), complex)
+    for j in range(n + 1):
+        design[j : j + len(f), j] = f
+    target = np.zeros(L, complex)
+    target[0] = 1.0
+    return design * weights[:, None], target * weights
 
 
 def normal_equations_oracle(f_coeffs, n, alpha):
@@ -35,17 +55,14 @@ def normal_equations_oracle(f_coeffs, n, alpha):
     map q -> q f in the weighted l2 metric, which avoids even forming the
     Gram matrix the library uses.
     """
-    f = np.asarray(f_coeffs, complex)
-    L = len(f) + n
-    weights = np.sqrt((np.arange(L) + 1.0) ** alpha)
-    design = np.zeros((L, n + 1), complex)
-    for j in range(n + 1):
-        design[j : j + len(f), j] = f
-    target = np.zeros(L, complex)
-    target[0] = 1.0
-    A, *_ = np.linalg.lstsq(design * weights[:, None], target * weights, rcond=None)
-    resid = np.linalg.norm((design @ A - target) * weights)
-    return A, float(resid)
+    design, target = weighted_design(f_coeffs, n, alpha)
+    A, *_ = np.linalg.lstsq(design, target, rcond=None)
+    return A, float(np.linalg.norm(design @ A - target))
+
+
+def oracle_gram(f_coeffs, n, alpha):
+    design, _ = weighted_design(f_coeffs, n, alpha)
+    return design.conj().T @ design
 
 
 def closed_form_reciprocal_of_one_minus_z(n):
@@ -187,22 +204,76 @@ def test_inner_multiplier_factors_out():
             assert np.max(np.abs(lhs - rhs)) < 1e-6 + 10 * fB.tail_bound
 
 
-def test_toeplitz_fast_path_matches_dense():
-    rng = np.random.default_rng(56)
-    for _ in range(10):
-        f = random_poly(rng, int(rng.integers(1, 9)))
-        n = int(rng.integers(0, 10))
-        dense = opa_solve(f, n, H2, solver="dense")
-        fast = opa_solve(f, n, H2, solver="toeplitz")
-        assert np.allclose(fast.Q.coeffs, dense.Q.coeffs, atol=1e-10)
-        assert fast.residual == pytest.approx(dense.residual, abs=1e-10)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=2,
+        max_size=9,
+    ),
+    f0=st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5, allow_nan=False),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    n_max=st.integers(0, 10),
+)
+def test_every_order_matches_the_reference(coeffs, f0, alpha, n_max):
+    c = np.asarray([f0] + coeffs[1:], complex)
+    f = CoeffSeries(c)
+    w = AlphaWeight(alpha)
+    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
+    rows = convergence_profile(f, n_max, w, BoundarySet.from_points(list(np.angle(zs))), [0.5j])
+    for n in range(n_max + 1):
+        want_A, want_res = normal_equations_oracle(c, n, alpha)
+        got = opa_solve(f, n, w)
+        assert np.max(np.abs(got.Q.coeffs - want_A)) < 1e-9
+        assert got.residual == pytest.approx(want_res, abs=1e-9)
+        assert rows[n]["residual"] == pytest.approx(want_res, abs=1e-9)
+        want_q = np.polynomial.polynomial.polyval(zs, want_A)
+        want_sup = np.max(np.abs(want_q - 1.0 / np.polynomial.polynomial.polyval(zs, c)))
+        assert rows[n]["sup_circle"] == pytest.approx(want_sup, abs=1e-9)
 
 
-def test_toeplitz_path_requires_hardy_weight():
-    with pytest.raises(InvalidParameterError):
-        opa_solve(CoeffSeries([1.0, -0.5]), 2, DIR, solver="toeplitz")
-    with pytest.raises(InvalidParameterError):
-        opa_solve(CoeffSeries([1.0, -0.5]), 2, H2, solver="banana")
+def test_condition_estimate_tracks_the_reference_gram():
+    rng = np.random.default_rng(57)
+    cases = [(random_poly(rng, int(rng.integers(1, 9))).coeffs, int(rng.integers(0, 33)), alpha)
+             for alpha in (0.0, 1.0) for _ in range(10)]
+    cases += [(np.polynomial.polynomial.polypow([1.0, -1.0], k), n, 0.0)
+              for k in range(1, 9) for n in (4, 16, 32)]
+    for c, n, alpha in cases:
+        gram = oracle_gram(c, n, alpha)
+        want = np.linalg.cond(gram)
+        got = opa_solve(CoeffSeries(c), n, AlphaWeight(alpha)).condition_estimate
+        assert want / (10 * (n + 1)) <= got <= want * 10 * (n + 1)
+        # onenormest bounds ||M^{-1}||_1 from below, so the estimate cannot
+        # exceed the exact 1-norm condition number beyond rounding
+        assert got <= np.linalg.cond(gram, 1) * 1.001
+
+
+def test_flat_boundary_zero_is_refused_as_ill_conditioned():
+    f = CoeffSeries(np.polynomial.polynomial.polypow([1.0, -1.0], 10))
+    with pytest.raises(IllConditionedError):
+        opa_solve(f, 64, H2)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hardy_walks_allocate_no_gram_matrix():
+    # One (n+1) x (n+1) complex matrix takes 16 (n+1)^2 bytes; at alpha = 0
+    # the walks over the orders stay linear in the order.
+    f = CoeffSeries([1.0, -0.99])
+    n = 2048
+    probes = BoundarySet.from_points([0.0, 1.0])
+    for call in (lambda: opa_solve(f, n, H2), lambda: convergence_profile(f, n, H2, probes, [0.5])):
+        _, peak = _peak_bytes(call)
+        assert peak < (n + 1) ** 2
+    E = BoundarySet.from_points([0.0])
+    m, peak = _peak_bytes(lambda: opa_search_m(f, [100.0], E, 1e-3, H2))
+    assert m > 1000 and peak < (m + 1) ** 2
 
 
 # ------------------------------------------------------ convergence_profile

@@ -19,6 +19,7 @@ from opalab import (
 from opalab.serialize import dumps, to_jsonable
 
 H2 = AlphaWeight(0.0)
+DIR = AlphaWeight(1.0)
 E_ONE = BoundarySet.from_points([0.0])
 
 
@@ -47,7 +48,7 @@ def test_steer_zero_free_input_tracks_a_constant():
     f = CoeffSeries([1.0, -0.5])
     res = steer(f, CoeffSeries([2.0]), E_ONE, 0.1)
     assert res.F_structured.inner_zeros == ()
-    assert res.F_structured.unimodular_scalar == 1.0 + 0.0j
+    assert res.F_structured.scalar == 1.0 + 0.0j
     assert res.m <= 16
     assert res.achieved.norm_error < 0.1
     assert res.achieved.boundary_error < 0.1
@@ -63,19 +64,29 @@ def test_steer_reaches_a_larger_constant():
     assert abs(evaluate(res.Q_m, 1.0) - 5.0) < 0.1
 
 
+def test_steer_in_the_dirichlet_space():
+    # Pinned regression constant: the first order that tracks 1/P within eps/2 on E.
+    res = steer(CoeffSeries([1.0, -0.5]), CoeffSeries([2.0]), E_ONE, 0.1, space="dirichlet")
+    assert res.m == 6
+    assert res.achieved.norm_error < 0.1
+    assert res.achieved.boundary_error < 0.1
+    direct = opa_solve(res.F_coeffs, res.m, DIR).Q
+    assert np.array_equal(res.Q_m.coeffs, direct.coeffs)
+
+
 def test_steer_through_an_inner_factor():
     f = CoeffSeries([-0.5, 1.0])
     res = steer(f, CoeffSeries([2.0]), E_ONE, 0.1)
     assert np.allclose(res.F_structured.inner_zeros, [0.5], atol=1e-9)
     # the scalar is conj(B(0)), the covariance constant of reciprocal
     # approximants under the inner factor; here B(0) = |0.5|
-    assert res.F_structured.unimodular_scalar == pytest.approx(0.5, abs=1e-9)
+    assert res.F_structured.scalar == pytest.approx(0.5, abs=1e-9)
     assert res.achieved.norm_error < 0.1
     assert res.achieved.boundary_error < 0.1
     # structured and flat forms agree where it matters
     B = blaschke_series(list(res.F_structured.inner_zeros), 512)
     flat = multiply(B, res.F_structured.P, max_degree=len(res.F_coeffs.coeffs) - 1)
-    recon = res.F_structured.unimodular_scalar * np.asarray(
+    recon = res.F_structured.scalar * np.asarray(
         [evaluate(flat, z) for z in (0.3, -0.4j, 0.2 + 0.5j)]
     )
     direct = np.asarray([evaluate(res.F_coeffs, z) for z in (0.3, -0.4j, 0.2 + 0.5j)])
