@@ -61,11 +61,6 @@ from .spaces import (
     norm_alpha,
 )
 from .steer import AchievedErrors, SteerResult, StructuredProduct, opa_search_m, steer
-from .zerofree import (
-    ZeroFreeApproxResult,
-    ZeroFreeTrace,
-    phi_builder,
-    simultaneous_zero_free,
-)
+from .zerofree import ZeroFreeApproxResult, ZeroFreeTrace, simultaneous_zero_free
 
 __version__ = "0.1.0"

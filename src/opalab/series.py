@@ -19,6 +19,7 @@ DEFAULT_PRODUCT_DEGREE = 256
 
 WINDING_GRID_LOG2 = 14
 WINDING_GRID_CAP_LOG2 = 20
+FFT_ROUNDING = 8.0
 
 
 def _as_coeff_array(values) -> np.ndarray:
@@ -236,10 +237,15 @@ def zero_free_on_closed_disc(
 
     The certificate combines the argument winding along the circle with a
     Lipschitz margin: with L = sum k |p_k| and grid spacing dtheta, a
-    minimum sampled modulus above L * dtheta rules out circle zeros, and
-    winding 0 then rules out interior zeros by the argument principle.
-    The grid doubles from 2**grid_log2 until the margin resolves or the
-    cap is hit, in which case the report is marked indeterminate.
+    minimum sampled modulus above L * dtheta + rho rules out circle zeros,
+    and winding 0 then rules out interior zeros by the argument principle.
+    rho = FFT_ROUNDING * eps * log2(G) * sum |p_k| bounds the rounding
+    error of each grid value from eval_on_circle_grid: every value passes
+    through log2(G) butterfly stages whose operands are at most sum |p_k|,
+    each costing a few machine epsilons, and FFT_ROUNDING = 8 covers that
+    few with room.  The grid doubles from 2**grid_log2 until the margin
+    resolves or the cap is hit, in which case the report is marked
+    indeterminate.
     """
     if not p.is_exact_polynomial():
         raise InvalidInputError("zero-freeness certification needs an exact polynomial")
@@ -247,6 +253,7 @@ def zero_free_on_closed_disc(
     if not np.any(c):
         raise InvalidInputError("the zero polynomial has no zero-free certificate")
     L = float(np.sum(np.arange(len(c)) * np.abs(c)))
+    stage_rounding = FFT_ROUNDING * np.finfo(float).eps * float(np.sum(np.abs(c)))
     q = max(grid_log2, int(4 * len(c) - 1).bit_length())
     cap = max(cap_log2, q)
     while True:
@@ -257,7 +264,7 @@ def zero_free_on_closed_disc(
         dtheta = 2.0 * np.pi / G
         if m == 0.0:
             return ZeroFreeReport(False, _discrete_winding(vals), 0.0, G, False)
-        if m > L * dtheta:
+        if m > L * dtheta + stage_rounding * q:
             w = _discrete_winding(vals)
             return ZeroFreeReport(w == 0, w, m, G, False)
         if q >= cap:

@@ -40,18 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .boundary import (
-    BoundarySet,
-    PiecewisePartition,
-    circle_gap,
-    piecewise_partition,
-)
+from .boundary import BoundarySet, piecewise_partition
 from .errors import (
     ApproximationBudgetError,
     InvalidInputError,
     InvalidParameterError,
 )
-from .rudin import dirichlet_rudin, hardy_rudin
 from .series import (
     CoeffSeries,
     ZeroFreeReport,
@@ -69,8 +63,6 @@ DEGREE_CAP = 8192
 LEVEL_START = 8
 DEGREE_START = 128
 DILATION_SCHEDULE = tuple(1.0 - 10.0 ** (-k) for k in range(1, 8))
-PHI_PEAK_DEFAULT = 12.0
-EXP_SERIES_LIMIT = 2048
 TRIVIAL_RATIO_TOL = 1e-12
 NEEDLE_GRID_LOG2 = 14
 NODE_LADDER = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
@@ -84,7 +76,6 @@ POLISH_ROUNDS = 8
 
 _G = 1 << NEEDLE_GRID_LOG2
 _ANG = 2.0 * np.pi * np.arange(_G) / _G
-_KF = np.fft.fftfreq(_G, d=1.0 / _G)
 
 
 @dataclass(frozen=True)
@@ -111,71 +102,22 @@ def _space_alpha(space: str) -> AlphaWeight:
     raise InvalidParameterError("space must be 'hardy' or 'dirichlet'")
 
 
-def _grid_exp_pos(F: CoeffSeries, n_out: int) -> CoeffSeries:
-    """exp(F) truncated at n_out via a circle grid large enough to resolve it."""
-    q = max(14, int(2 * n_out + 2).bit_length())
-    G = 1 << q
-    vals = np.exp(eval_on_circle_grid(F, q))
-    spec = np.fft.fft(vals) / G
-    tail = float(np.linalg.norm(spec[n_out + 1 : G // 2])) if n_out + 1 < G // 2 else 0.0
-    return CoeffSeries(spec[: n_out + 1], tail)
-
-
-def phi_builder(partition: PiecewisePartition, space: str, level: int) -> CoeffSeries:
-    """Boundary-value multiplier exp(sum v_j h_j) from per-piece peak functions.
-
-    Each piece gets a certified peak function at tolerance 1/level on a
-    1/level-neighborhood of its points; pieces whose neighborhoods overlap
-    at this level are rejected.  The uniform bound exp(2m max|v_j|) holds
-    because every |h_j| is at most 2.
-    """
-    _space_alpha(space)
-    if level < 2:
-        raise InvalidParameterError("level must be at least 2")
-    width = 1.0 / level
-    points = [(p, v) for piece, v in partition.pieces for p in piece.points]
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if circle_gap(points[i][0], points[j][0]) <= 2.0 * width:
-                raise InvalidParameterError(
-                    "1/level neighborhoods overlap; raise the level past %d" % level
-                )
-    total = None
-    for piece, v in partition.pieces:
-        if abs(v) <= TRIVIAL_RATIO_TOL:
-            continue
-        U = BoundarySet(arcs=tuple((p, width) for p in piece.points))
-        if space == "hardy":
-            rf = hardy_rudin(piece, U, eps=width, peak=PHI_PEAK_DEFAULT)
-        else:
-            rf = dirichlet_rudin(piece, U, eps=width)
-        term = v * rf.h
-        total = term if total is None else _padded_sum(total, term)
-    if total is None:
-        return CoeffSeries([1.0])
-    deg = len(total.coeffs) - 1
-    if deg <= EXP_SERIES_LIMIT:
-        return exp_series(total, max(512, 2 * deg))
-    return _grid_exp_pos(total, deg)
-
-
 def _padded_sum(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     n = max(len(a.coeffs), len(b.coeffs))
     return a.pad(n - 1) + b.pad(n - 1)
 
 
 def _analytic_mask(band: int) -> np.ndarray:
-    """Fourier multiplier taking a complex boundary profile u + i*psi to the
-    boundary values of its band-limited analytic completion.
+    """Fourier multiplier on frequencies 0..band taking a complex boundary
+    profile u + i*psi to the boundary values of its band-limited analytic
+    completion.
 
     Positive frequencies are doubled (completion of a real profile is
-    coefficient-doubling), negatives dropped, and everything rides a Gaussian
-    roll-off that is negligible at the band edge, so hard truncation at the
-    band adds no ringing.
+    coefficient-doubling); negatives and those past the band are dropped, and
+    everything rides a Gaussian roll-off that is negligible at the band edge,
+    so hard truncation at the band adds no ringing.
     """
-    keep = (_KF >= 1) & (_KF <= band)
-    am = np.zeros(_G, dtype=np.complex128)
-    am[keep] = 2.0 * np.exp(-((BAND_DAMP * _KF[keep] / band) ** 2))
+    am = 2.0 * np.exp(-((BAND_DAMP * np.arange(band + 1) / band) ** 2))
     am[0] = 1.0
     return am
 
@@ -205,27 +147,31 @@ def _hat_basis(theta: float, base_width: float) -> np.ndarray:
     return hats
 
 
-def _refined_needle(
+def _needle_objective(
     theta: float, v: complex, base_width: float, w2: np.ndarray, band: int
-) -> np.ndarray:
-    """Coefficients of one needle F with F(e^{i theta}) = v exactly.
+):
+    """Fit objective of one needle: (cost_grad, x0, spectrum).
 
-    Minimizes mean(w2 |exp(F)-1|^2) over nodal phase/log-modulus profiles,
-    plus a stiff penalty under Re F = -RE_FLOOR (certificate margin) and a
-    soft anchor on the point value (kept exact by the final rescale; the
-    anchor only stops the fit from trading the point for energy).  Gradients
-    are exact: the completion, band limit and Hilbert transform are Fourier
-    multipliers, so the adjoint is one more FFT sandwich.
+    The parameters p = (psi, u) are nodal phase and log-modulus values on the
+    hat ladder.  cost_grad(p) returns mean(w2 |exp(F)-1|^2), plus a stiff
+    penalty under Re F = -RE_FLOOR (certificate margin) and a soft anchor on
+    the point value (kept exact by the final rescale; the anchor only stops
+    the fit from trading the point for energy), and its exact gradient.  x0
+    is the tent/Gaussian start, and spectrum(p) is _G times the needle's
+    coefficients 0..band.
     """
     hats = _hat_basis(theta, base_width)
     nn = len(hats)
-    am = _analytic_mask(band)
-    point_row = (np.fft.fft(hats, axis=1) * am) @ np.exp(1j * np.arange(_G) * theta) / _G
+    S = np.fft.fft(hats, axis=1)[:, : band + 1] * _analytic_mask(band)
+    S_adj = np.conj(S) / _G
+    point_row = S @ np.exp(1j * np.arange(band + 1) * theta) / _G
+
+    def spectrum(p: np.ndarray) -> np.ndarray:
+        return np.einsum("p,pk->k", p[nn:] + 1j * p[:nn], S)
 
     def cost_grad(p: np.ndarray):
-        prof = p[nn:] @ hats + 1j * (p[:nn] @ hats)
-        F = np.fft.ifft(np.fft.fft(prof) * am)
-        B = np.exp(F.real + 1j * F.imag)
+        F = np.fft.ifft(spectrum(p), _G)
+        B = np.exp(F)
         D = B - 1.0
         viol = np.maximum(0.0, -F.real - RE_FLOOR)
         dv = complex((p[nn:] + 1j * p[:nn]) @ point_row) - v
@@ -236,30 +182,42 @@ def _refined_needle(
         )
         gr_re = (2.0 * w2 * np.real(np.conj(D) * B) - 2.0 * FLOOR_PENALTY * viol) / _G
         gr_im = -2.0 * w2 * np.imag(np.conj(D) * B) / _G
-        pull = np.fft.ifft(np.fft.fft(gr_re + 1j * gr_im) * np.conj(am))
-        gpsi = hats @ pull.imag + 2.0 * POINT_PENALTY * np.real(np.conj(dv) * 1j * point_row)
-        gu = hats @ pull.real + 2.0 * POINT_PENALTY * np.real(np.conj(dv) * point_row)
+        pull = np.einsum("pk,k->p", S_adj, np.fft.fft(gr_re + 1j * gr_im)[: band + 1])
+        gpsi = pull.imag + 2.0 * POINT_PENALTY * np.real(np.conj(dv) * 1j * point_row)
+        gu = pull.real + 2.0 * POINT_PENALTY * np.real(np.conj(dv) * point_row)
         return E, np.concatenate([gpsi, gu])
 
     nodes = np.asarray(NODE_LADDER, dtype=float) * (base_width / LADDER_SCALE)
-    start = np.concatenate([
+    x0 = np.concatenate([
         v.imag * np.maximum(0.0, 1.0 - nodes / base_width),
         v.real * np.exp(-((nodes / (base_width / 3.0)) ** 2)),
     ])
+    return cost_grad, x0, spectrum
+
+
+def _refined_needle(
+    theta: float, v: complex, base_width: float, w2: np.ndarray, band: int
+) -> np.ndarray:
+    """Coefficients of one needle F with F(e^{i theta}) = v exactly.
+
+    L-BFGS minimizes the objective of _needle_objective.  The profile is
+    linear in its parameters and the completion, band limit and Hilbert
+    transform are Fourier multipliers, so the spectra S of the completed,
+    band-limited hats are computed once per fit.  Each objective call then
+    makes two FFTs: an inverse one of (u + i psi) S onto the grid, and one
+    of the grid gradient, whose frequencies 0..band contract with conj(S)
+    into the exact gradient.  The contractions use einsum, not BLAS, whose
+    threaded matvec is slower at these sizes.
+    """
+    cost_grad, x0, spectrum = _needle_objective(theta, v, base_width, w2, band)
     fit = minimize(
         cost_grad,
-        start,
+        x0,
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": NEEDLE_MAXITER, "ftol": 1e-15, "gtol": 1e-13},
     )
-    p = fit.x
-    prof = p[nn:] @ hats + 1j * (p[:nn] @ hats)
-    spec = np.fft.fft(prof) / _G
-    c = np.zeros(band + 1, dtype=np.complex128)
-    c[0] = spec[0]
-    c[1:] = 2.0 * spec[1 : band + 1]
-    c *= np.exp(-((BAND_DAMP * np.arange(band + 1) / band) ** 2))
+    c = spectrum(fit.x) / _G
     val = complex(np.polyval(c[::-1], np.exp(1j * theta)))
     return c * (v / val)
 
@@ -311,7 +269,7 @@ def _dirichlet_point_bound_abort(g, targets, zs, eps, gate, g_degree):
     max_deg = DEGREE_CAP + g_degree
     const = float(np.sqrt(np.sum(1.0 / np.arange(1.0, max_deg + 2.0))))
     reachable = eps * const + gate
-    deviation = float(np.max(np.abs(targets - np.asarray([evaluate(g, z) for z in zs]))))
+    deviation = float(np.max(np.abs(targets - evaluate(g, zs))))
     if deviation > reachable:
         raise ApproximationBudgetError(
             "Dirichlet norm budget cannot move g far enough at a point of E",
@@ -356,7 +314,7 @@ def simultaneous_zero_free(
         )
 
     r, g_r = _select_dilation(g, eps, w)
-    g_r_vals = np.asarray([evaluate(g_r, z) for z in zs])
+    g_r_vals = evaluate(g_r, zs)
     sup_g_r = float(np.max(np.abs(eval_on_circle_grid(g_r, 12))))
     ratios = targets / g_r_vals
     partition = piecewise_partition(
@@ -374,7 +332,7 @@ def simultaneous_zero_free(
         P = CoeffSeries(g_r.coeffs, 0.0)
         report = zero_free_on_closed_disc(P)
         space_error = norm_alpha(_padded_sum(P, -g), w) + g.tail_bound
-        boundary_error = float(np.max(np.abs([evaluate(P, z) for z in zs] - targets)))
+        boundary_error = float(np.max(np.abs(evaluate(P, zs) - targets)))
         trace = ZeroFreeTrace(r, 0, len(P.coeffs) - 1)
         if report.zero_free and space_error < eps and boundary_error < gate:
             return ZeroFreeApproxResult(P, report, space_error, boundary_error, trace)
@@ -416,7 +374,7 @@ def simultaneous_zero_free(
 
         P = assemble(F)
         for _ in range(POLISH_ROUNDS):
-            P_vals = np.asarray([evaluate(P, z) for z in zs])
+            P_vals = evaluate(P, zs)
             if float(np.max(np.abs(P_vals - targets))) < gate:
                 break
             # downstream truncation moved the point values; re-add the missing
@@ -430,9 +388,7 @@ def simultaneous_zero_free(
             )
             P = assemble(F)
         space_error = norm_alpha(_padded_sum(P, -g), w) + g.tail_bound
-        boundary_error = float(
-            np.max(np.abs(np.asarray([evaluate(P, z) for z in zs]) - targets))
-        )
+        boundary_error = float(np.max(np.abs(evaluate(P, zs) - targets)))
         if space_error + boundary_error < best["space_error"] + best["boundary_error"]:
             best = {
                 "space_error": space_error,

@@ -152,6 +152,16 @@ def test_evaluate_small_cases():
     assert evaluate(CoeffSeries([1.0, 1.0, 1.0]), 1.0) == pytest.approx(3.0)
 
 
+def test_evaluate_on_an_array_equals_pointwise_calls():
+    # callers evaluate at all points of E at once; the Horner arithmetic is
+    # the same per point, so the values are identical, not just close
+    rng = np.random.default_rng(18)
+    zs = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
+    for n in (1, 7, 3000):
+        a = random_poly(rng, n)
+        assert np.array_equal(evaluate(a, zs), [evaluate(a, z) for z in zs])
+
+
 # ------------------------------------------------------------------ dilate
 
 def test_dilate_scales_coefficients_geometrically():
@@ -216,6 +226,27 @@ def test_zero_free_tracks_root_placement():
         if report.zero_free:
             assert report.winding_number == 0
             assert report.min_modulus_on_circle > 0
+
+
+def test_zero_free_margin_covers_fft_rounding():
+    # (1 + delta) - z has its smallest grid modulus delta at z = 1 and
+    # L = 1.  On the 2**14 grid delta clears L * dtheta by 2e-14, less
+    # than the rounding allowance of the grid values, so that grid must
+    # not certify: the grid escalates, or at the cap the report is
+    # indeterminate.
+    q = 14
+    G = 1 << q
+    delta = 2.0 * np.pi / G + 2e-14
+    p = CoeffSeries([1.0 + delta, -1.0])
+    m = float(np.min(np.abs(eval_on_circle_grid(p, q))))
+    rho = 8.0 * np.finfo(float).eps * q * (2.0 + delta)
+    assert 2.0 * np.pi / G < m < 2.0 * np.pi / G + rho
+
+    report = zero_free_on_closed_disc(p, grid_log2=q)
+    assert report.grid_size > G
+    assert report.zero_free and not report.indeterminate
+    capped = zero_free_on_closed_disc(p, grid_log2=q, cap_log2=q)
+    assert capped.indeterminate and not capped.zero_free
 
 
 def test_zero_free_rejects_degenerate_inputs():

@@ -17,10 +17,9 @@ from opalab import (
     InvalidInputError,
     InvalidParameterError,
     evaluate,
-    phi_builder,
-    piecewise_partition,
     simultaneous_zero_free,
 )
+from opalab import zerofree
 from opalab.series import eval_on_circle_grid, zero_free_on_closed_disc
 
 E_ONE = BoundarySet.from_points([0.0])
@@ -77,33 +76,81 @@ def test_derivative_split_controls_dirichlet_energy():
         assert lhs <= 2.0 * (a + b) * (1.0 + 1e-12) + 1e-12
 
 
-# ------------------------------------------------------------- multiplier
+# ------------------------------------------------------------ needle kernel
 
-def test_phi_of_trivial_partition_is_one():
-    part = piecewise_partition({0.0: 1.0}, E_ONE, 0.05)
-    phi = phi_builder(part, "hardy", 8)
-    assert np.allclose(phi.coeffs, [1.0])
+KERNEL_SIZES = [(8, 64), (64, 1024), (512, 4096)]
+W2 = np.abs(eval_on_circle_grid(CoeffSeries([1.0, -0.5]), zerofree.NEEDLE_GRID_LOG2)) ** 2
 
 
-def test_phi_doubles_at_its_point_and_rests_elsewhere():
-    part = piecewise_partition({0.0: 2.0}, E_ONE, 0.05)
-    phi = phi_builder(part, "hardy", 20)
-    vals = eval_on_circle_grid(phi, 12)
-    G = 1 << 12
-    assert abs(vals[0] - 2.0) < 0.1
-    assert abs(vals[G // 2] - 1.0) < 0.1
-    assert np.max(np.abs(vals)) <= np.exp(2.0 * np.log(2.0)) + 1e-6
+def grid_objective(theta, v, base_width, w2, band):
+    """The needle objective computed on the grid: profile = hats . p, then
+    F = ifft(fft(profile) * mask), with the adjoint as the mirrored FFT pair."""
+    G = zerofree._G
+    hats = zerofree._hat_basis(theta, base_width)
+    nn = len(hats)
+    am = np.zeros(G, dtype=complex)
+    am[: band + 1] = zerofree._analytic_mask(band)
+    point_row = (np.fft.fft(hats, axis=1) * am) @ np.exp(1j * np.arange(G) * theta) / G
+
+    def cost_grad(p):
+        prof = p[nn:] @ hats + 1j * (p[:nn] @ hats)
+        F = np.fft.ifft(np.fft.fft(prof) * am)
+        B = np.exp(F)
+        D = B - 1.0
+        viol = np.maximum(0.0, -F.real - zerofree.RE_FLOOR)
+        dv = complex((p[nn:] + 1j * p[:nn]) @ point_row) - v
+        E = (
+            np.mean(w2 * np.abs(D) ** 2)
+            + zerofree.FLOOR_PENALTY * np.mean(viol**2)
+            + zerofree.POINT_PENALTY * abs(dv) ** 2
+        )
+        gr_re = (2.0 * w2 * np.real(np.conj(D) * B) - 2.0 * zerofree.FLOOR_PENALTY * viol) / G
+        gr_im = -2.0 * w2 * np.imag(np.conj(D) * B) / G
+        pull = np.fft.ifft(np.fft.fft(gr_re + 1j * gr_im) * np.conj(am))
+        anchor = 2.0 * zerofree.POINT_PENALTY * np.conj(dv) * point_row
+        gpsi = hats @ pull.imag + np.real(1j * anchor)
+        gu = hats @ pull.real + np.real(anchor)
+        return E, np.concatenate([gpsi, gu])
+
+    return cost_grad
 
 
-def test_phi_rejects_crowded_points_and_tiny_level():
-    part = piecewise_partition({0.0: 2.0, 0.05: 0.5}, BoundarySet.from_points([0.0, 0.05]), 0.05)
-    with pytest.raises(InvalidParameterError):
-        phi_builder(part, "hardy", 20)
-    single = piecewise_partition({0.0: 2.0}, E_ONE, 0.05)
-    with pytest.raises(InvalidParameterError):
-        phi_builder(single, "hardy", 1)
-    with pytest.raises(InvalidParameterError):
-        phi_builder(single, "bergman", 8)
+def random_params(rng, n):
+    # large enough that the floor penalty is active somewhere
+    return 1.5 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("level,band", KERNEL_SIZES)
+def test_spectral_objective_matches_the_grid_objective(level, band):
+    rng = np.random.default_rng(level)
+    theta, v = 0.3, 0.7 + 0.4j
+    cost_grad, x0, _ = zerofree._needle_objective(theta, v, 1.0 / level, W2, band)
+    reference = grid_objective(theta, v, 1.0 / level, W2, band)
+    for p in (x0, random_params(rng, len(x0)), random_params(rng, len(x0))):
+        E, g = cost_grad(p)
+        E_ref, g_ref = reference(p)
+        assert abs(E - E_ref) <= 1e-12 * abs(E_ref)
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+def test_spectral_gradient_matches_central_differences():
+    rng = np.random.default_rng(7)
+    cost_grad, x0, _ = zerofree._needle_objective(1.0, -0.5 + 0.8j, 1.0 / 8, W2, 64)
+    p = random_params(rng, len(x0))
+    _, g = cost_grad(p)
+    h = 1e-6
+    for i in (0, 5, len(p) // 2, len(p) - 3):
+        step = np.zeros_like(p)
+        step[i] = h
+        fd = (cost_grad(p + step)[0] - cost_grad(p - step)[0]) / (2.0 * h)
+        assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-9)
+
+
+def test_refined_needle_hits_its_value_off_the_grid():
+    theta, v, band = 1.234567, 0.6 - 0.9j, 64
+    c = zerofree._refined_needle(theta, v, 1.0 / 8, W2, band)
+    assert len(c) == band + 1
+    assert abs(evaluate(CoeffSeries(c), np.exp(1j * theta)) - v) < 1e-12
 
 
 # ------------------------------------------------------- main construction
