@@ -24,13 +24,11 @@ RECONSTRUCTION_DEGREE = 256
 
 @dataclass(frozen=True)
 class InnerOuterFactorization:
-    """unimodular * B(inner_zeros) * outer reproduces the input polynomial.
+    """B(inner_zeros) * outer reproduces the input polynomial.
 
-    This construction folds every phase into the outer factor, so the
-    unimodular constant is always 1; the field stays for schema stability.
+    This construction folds every phase into the outer factor.
     """
 
-    unimodular: complex
     inner_zeros: tuple
     outer: CoeffSeries
 
@@ -122,7 +120,7 @@ def polynomial_inner_outer(p: CoeffSeries) -> InnerOuterFactorization:
     deg_eff = int(np.max(np.nonzero(np.abs(c) > 0)[0]))
     lead = c[deg_eff]
     if deg_eff == 0:
-        return InnerOuterFactorization(1.0 + 0.0j, (), p)
+        return InnerOuterFactorization((), p)
 
     roots = np.roots(c[deg_eff::-1])
     roots = _cluster_roots(roots)
@@ -143,4 +141,4 @@ def polynomial_inner_outer(p: CoeffSeries) -> InnerOuterFactorization:
             out = np.convolve(out, [1.0, -np.conj(a)])
     for b in outer_roots:
         out = np.convolve(out, [-b, 1.0])
-    return InnerOuterFactorization(1.0 + 0.0j, tuple(inner), CoeffSeries(out, 0.0))
+    return InnerOuterFactorization(tuple(inner), CoeffSeries(out, 0.0))

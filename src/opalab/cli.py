@@ -187,11 +187,11 @@ def _write_artifact(path: str, command: str, inputs: dict, outputs, diagnostics:
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "inputs": to_jsonable(inputs),
-        "outputs": to_jsonable(outputs),
-        "diagnostics": to_jsonable(diagnostics),
+        "inputs": inputs,
+        "outputs": outputs,
+        "diagnostics": diagnostics,
     }
-    _atomic_write(path, dumps(artifact) + "\n")
+    _atomic_write(path, dumps(to_jsonable(artifact)) + "\n")
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -227,9 +227,9 @@ def _cmd_opa_solve(args, config):
         raise InvalidInputError("opa solve needs --n (or n in the config file)")
     alpha = _setting(args, config, "alpha", 0.0, float)
     result = opa_solve(f, int(n), AlphaWeight(alpha))
-    inputs = {"f": to_jsonable(f), "n": int(n), "alpha": alpha}
+    inputs = {"f": f, "n": int(n), "alpha": alpha}
     outputs = {
-        "Q": to_jsonable(result.Q),
+        "Q": result.Q,
         "residual": result.residual,
         "residual_sq": result.residual**2,
         "condition_estimate": result.condition_estimate,
@@ -250,7 +250,7 @@ def _cmd_opa_converge(args, config):
     ring = [radius * np.exp(2j * np.pi * k / 16.0) for k in range(16)]
     rows = convergence_profile(f, int(n_max), AlphaWeight(alpha), circle, ring)
     inputs = {
-        "f": to_jsonable(f), "n_max": int(n_max), "alpha": alpha,
+        "f": f, "n_max": int(n_max), "alpha": alpha,
         "probes": probes, "interior_radius": radius,
     }
     table = [[r["n"], r["residual"], r["sup_circle"], r["max_interior"]] for r in rows]
@@ -265,7 +265,7 @@ def _cmd_rudin_build(args, config):
     eps = _setting(args, config, "eps", None, float)
     if eps is None:
         raise InvalidInputError("rudin build needs --eps (or eps in the config file)")
-    inputs = {"space": space, "set": to_jsonable(E), "u": to_jsonable(U), "eps": eps}
+    inputs = {"space": space, "set": E, "u": U, "eps": eps}
     if space == "hardy":
         peak = _setting(args, config, "peak", 12.0, float)
         rf = hardy_rudin(E, U, eps=eps, peak=peak)
@@ -276,11 +276,7 @@ def _cmd_rudin_build(args, config):
         rf = dirichlet_rudin(E, U, eps=eps, levels=levels, nodes_per_arc=nodes)
         inputs["levels"] = levels
         inputs["nodes_per_arc"] = nodes
-    outputs = {
-        "h": to_jsonable(rf.h),
-        "completion": to_jsonable(rf.completion),
-        "certified": to_jsonable(rf.certified),
-    }
+    outputs = {"h": rf.h, "completion": rf.completion, "certified": rf.certified}
     diag = {"h_degree": len(rf.h.coeffs) - 1}
     return inputs, outputs, diag, None
 
@@ -290,10 +286,9 @@ def _cmd_rudin_capacity(args, config):
     nodes = _setting(args, config, "nodes", 128, int)
     iterations = _setting(args, config, "iterations", 2000, int)
     measure = equilibrium_measure(arcs, nodes, iterations=iterations)
-    inputs = {"set": to_jsonable(arcs), "nodes": nodes, "iterations": iterations}
-    outputs = to_jsonable(measure)
+    inputs = {"set": arcs, "nodes": nodes, "iterations": iterations}
     table = [[float(t), float(w)] for t, w in zip(measure.nodes, measure.weights)]
-    return inputs, outputs, {"node_count": len(table)}, (["angle", "weight"], table)
+    return inputs, measure, {"node_count": len(table)}, (["angle", "weight"], table)
 
 
 def _cmd_zerofree_approx(args, config):
@@ -307,17 +302,17 @@ def _cmd_zerofree_approx(args, config):
     boundary_eps = _setting(args, config, "boundary_eps", None, float)
     result = simultaneous_zero_free(g, targets, E, eps, space, boundary_eps=boundary_eps)
     inputs = {
-        "g": to_jsonable(g), "set": to_jsonable(E),
-        "targets": {"%r" % t: to_jsonable(v) for t, v in targets.items()},
+        "g": g, "set": E,
+        "targets": {"%r" % t: v for t, v in targets.items()},
         "eps": eps, "space": space, "boundary_eps": boundary_eps,
     }
     outputs = {
-        "P": to_jsonable(result.P),
-        "report": to_jsonable(result.report),
+        "P": result.P,
+        "report": result.report,
         "space_error": result.space_error,
         "boundary_error": result.boundary_error,
     }
-    return inputs, outputs, {"trace": to_jsonable(result.trace)}, None
+    return inputs, outputs, {"trace": result.trace}, None
 
 
 def _cmd_steer(args, config):
@@ -329,18 +324,8 @@ def _cmd_steer(args, config):
         raise InvalidInputError("steer needs --eps (or eps in the config file)")
     space = _setting(args, config, "space", "hardy", str)
     result = steer(f, g, E, eps, space)
-    inputs = {
-        "f": to_jsonable(f), "g": to_jsonable(g),
-        "set": to_jsonable(E), "eps": eps, "space": space,
-    }
-    outputs = {
-        "F_structured": to_jsonable(result.F_structured),
-        "F_coeffs": to_jsonable(result.F_coeffs),
-        "m": result.m,
-        "Q_m": to_jsonable(result.Q_m),
-        "achieved": to_jsonable(result.achieved),
-    }
-    return inputs, outputs, {"P_degree": len(result.F_structured.P.coeffs) - 1}, None
+    inputs = {"f": f, "g": g, "set": E, "eps": eps, "space": space}
+    return inputs, result, {"P_degree": len(result.F_structured.P.coeffs) - 1}, None
 
 
 def _cmd_selftest(args, config):
@@ -449,8 +434,8 @@ def _print_error(exc) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     diagnostics = getattr(exc, "diagnostics", None)
     if diagnostics:
-        payload["diagnostics"] = to_jsonable(diagnostics)
-    sys.stderr.write(dumps(payload) + "\n")
+        payload["diagnostics"] = diagnostics
+    sys.stderr.write(dumps(to_jsonable(payload)) + "\n")
 
 
 if __name__ == "__main__":

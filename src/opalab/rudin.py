@@ -36,6 +36,7 @@ from .errors import (
     ResolutionExceededError,
 )
 from .series import CoeffSeries, dilate, eval_on_circle_grid, exp_series
+from .spaces import dirichlet_integral
 
 BUMP_MIN_CELLS = 4
 GRID_CAP_LOG2 = 22
@@ -594,7 +595,7 @@ def dirichlet_rudin(
         h_coeffs = -h1.coeffs
         h_coeffs[0] += 1.0
         h = CoeffSeries(h_coeffs, 0.0)
-        energy = float(np.sum(np.arange(N + 1) * np.abs(h.coeffs) ** 2))
+        energy = dirichlet_integral(h)
         cert = _certify(h, E, U, dirichlet_energy=energy)
         if (
             energy <= 0.7 * eps

@@ -1,122 +1,69 @@
 """Deterministic JSON encoding and file formats for library values.
 
-Numbers render at 17 significant digits, complex values as [re, im] pairs,
-and dict keys come out sorted, so identical values serialize to identical
-bytes.  The tiny writer exists because byte-level reproducibility of the
-run artifacts is part of the CLI contract.
+``to_jsonable`` turns library values into plain trees: a dataclass becomes
+the dict of its fields, a complex number an [re, im] pair, an ndarray a list
+of floats (of pairs when complex), a numpy scalar the Python one, and a
+non-finite float the string "nan", "inf" or "-inf".  ``dumps`` hands that
+tree to the stdlib encoder with sorted keys, which prints every float as the
+shortest text that reads back to the same float, so identical values
+serialize to identical bytes.  Byte-level reproducibility of the run
+artifacts is part of the CLI contract.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import CoeffSeries, ZeroFreeReport
-from .boundary import BoundarySet, PiecewisePartition
+from .series import CoeffSeries
+from .boundary import BoundarySet
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        if np.isnan(x):
-            return '"nan"'
-        return '"inf"' if x > 0 else '"-inf"'
-    if x == int(x) and abs(x) < 1e16:
-        return "%.1f" % x
-    return "%.17g" % x
+def dumps(obj) -> str:
+    """One-line JSON with sorted keys; a non-finite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text for plain dict/list/str/number trees."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            '%s%s: %s' % (inner, json.dumps(str(k)), dumps(obj[k], indent + 2))
-            for k in sorted(obj, key=str)
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        parts = [inner + dumps(v, indent + 2) for v in seq]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError("cannot serialize %r" % type(obj))
+def _finite_or_name(x: float):
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "nan"
+    return "inf" if x > 0 else "-inf"
 
 
-def complex_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _array_to_jsonable(value: np.ndarray) -> list:
+    if np.iscomplexobj(value):
+        flat = value.astype(np.complex128).view(np.float64).reshape(-1, 2)
+    else:
+        flat = value.astype(np.float64)
+    out = flat.tolist()
+    if not np.all(np.isfinite(flat)):
+        return to_jsonable(out)
+    return out
 
 
 def to_jsonable(value):
     """Convert library values into plain trees that ``dumps`` understands."""
-    if isinstance(value, CoeffSeries):
-        return {
-            "coeffs": [complex_pair(c) for c in value.coeffs],
-            "tail_bound": value.tail_bound,
-        }
-    if isinstance(value, BoundarySet):
-        return {
-            "points": list(value.points),
-            "arcs": [[c, hw] for c, hw in value.arcs],
-            "sample_density": value.sample_density,
-        }
-    if isinstance(value, PiecewisePartition):
-        return {
-            "pieces": [
-                {"piece": to_jsonable(piece), "v": complex_pair(v)}
-                for piece, v in value.pieces
-            ],
-            "epsilon": value.epsilon,
-        }
-    if isinstance(value, ZeroFreeReport):
-        return {
-            "zero_free": value.zero_free,
-            "winding_number": value.winding_number,
-            "min_modulus_on_circle": value.min_modulus_on_circle,
-            "grid_size": value.grid_size,
-            "indeterminate": value.indeterminate,
-        }
     if is_dataclass(value) and not isinstance(value, type):
-        out = {}
-        for name in value.__dataclass_fields__:
-            out[name] = to_jsonable(getattr(value, name))
-        return out
-    if isinstance(value, complex):
-        return complex_pair(value)
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [complex_pair(c) for c in value]
-        return [float(v) for v in value]
+        return _array_to_jsonable(value)
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [_finite_or_name(value.real), _finite_or_name(value.imag)]
+    if isinstance(value, float):
+        return _finite_or_name(value)
     return value
-
-
-def coeff_series_to_json(a: CoeffSeries) -> dict:
-    return to_jsonable(a)
 
 
 def coeff_series_from_json(data: dict) -> CoeffSeries:

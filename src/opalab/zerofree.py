@@ -25,12 +25,6 @@ the needle's center, enforced exactly afterwards by rescaling.  The band
 limit stays at half the multiplier degree so exp has spectral headroom;
 truncation is the only step that can create disc zeros, so the final
 polynomial is always pushed through the certificate and retried on failure.
-
-phi_builder follows the peak-function composition contract directly (peak
-functions per piece at tolerance 1/level); the pipeline instead uses the
-raw needles, because composed peak functions either need degrees far above
-the certificate's resolving power or carry peak-amplified mass that breaks
-the norm budget at the capped degree.
 """
 
 from __future__ import annotations

@@ -103,7 +103,6 @@ def test_truncation_norm_and_boundary_modulus():
 
 def test_split_of_z_minus_half():
     fac = polynomial_inner_outer(CoeffSeries([-0.5, 1.0]))
-    assert fac.unimodular == 1.0 + 0.0j
     assert np.allclose(fac.inner_zeros, [0.5], atol=1e-12)
     assert np.allclose(fac.outer.coeffs, [-1.0, 0.5], atol=1e-12)
 
