@@ -19,7 +19,6 @@ from .series import CoeffSeries, multiply
 BOUNDARY_TOL = 1e-9
 CLUSTER_RADIUS = 1e-8
 ORIGIN_TOL = 1e-8
-RECONSTRUCTION_DEGREE = 256
 
 
 @dataclass(frozen=True)

@@ -481,6 +481,10 @@ def equilibrium_measure(
     power iteration on the kernel matrix.  Chebyshev-distributed nodes per
     proper arc; uniform nodes on the full circle (so symmetry forces the
     uniform measure there).  Energy excludes the diagonal.
+
+    The capacity estimate is biased upward: an arc of half-angle hw has
+    capacity sin(hw/2), and at 512 nodes the estimate exceeds it by 1.3-2.1%
+    for hw from 0.05 to 2.5.
     """
     if not arcs.positive_measure:
         raise InvalidInputError("equilibrium measures need arcs of positive length")

@@ -78,15 +78,6 @@ class CoeffSeries:
         out[: len(self.coeffs)] = self.coeffs
         return CoeffSeries(out, self.tail_bound)
 
-    def truncate(self, degree: int) -> "CoeffSeries":
-        """Drop coefficients beyond ``degree``; their mass moves into the tail bound."""
-        if degree < 0:
-            raise InvalidParameterError("degree must be nonnegative")
-        if degree >= self.truncation_degree:
-            return self
-        dropped = float(np.linalg.norm(self.coeffs[degree + 1 :]))
-        return CoeffSeries(self.coeffs[: degree + 1], self.tail_bound + dropped)
-
     def __add__(self, other: "CoeffSeries") -> "CoeffSeries":
         if not isinstance(other, CoeffSeries):
             return NotImplemented

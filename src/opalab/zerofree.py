@@ -15,10 +15,16 @@ onto the shoulders, the conjugate of the modulus profile tilts the phase,
 and under exp these couplings stack multiplicatively in the same angular
 zone.  Tight budgets need the log-modulus and phase boundary profiles tuned
 jointly, so each needle starts from a tent/Gaussian guess on a graded node
-ladder and is refined by a quasi-Newton pass on the actual mismatch energy
-weight * |exp(F) - 1|^2, with the analytic completion and the band limit
-inside the objective: the fit sees exactly the polynomial that ships, fine
-structure the degree cannot resolve buys nothing.  Two penalties keep the
+ladder and is refined by a few Levenberg-Marquardt steps on the actual
+mismatch energy weight * |exp(F) - 1|^2, with the analytic completion and
+the band limit inside the objective, so fine structure the band cannot
+resolve buys nothing.  The fit sees exp(F) on a 2^NEEDLE_GRID_LOG2 grid, not
+the exp series truncated at the multiplier degree that ships; the polish
+rounds and the zero-free certificate handle that truncation.  The step
+count NEEDLE_MAXITER sets how far the needles converge, and with it the
+approximant order m that steering needs: fully converged needles leave
+spectral mass past the degree, the truncated exp misses the target at the
+peak, and m grows past what the order search allows.  Two penalties keep the
 fit honest: a floor on Re F (a needle that digs |Phi| toward zero would
 leave the winding certificate no margin) and the point condition F = v at
 the needle's center, enforced exactly afterwards by rescaling.  The band
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .boundary import BoundarySet, piecewise_partition
 from .errors import (
@@ -65,11 +71,12 @@ BAND_DAMP = 3.2
 RE_FLOOR = 1.25
 FLOOR_PENALTY = 500.0
 POINT_PENALTY = 1.0
-NEEDLE_MAXITER = 300
+NEEDLE_MAXITER = 8
 POLISH_ROUNDS = 8
 
 _G = 1 << NEEDLE_GRID_LOG2
 _ANG = 2.0 * np.pi * np.arange(_G) / _G
+_GN_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -144,49 +151,100 @@ def _hat_basis(theta: float, base_width: float) -> np.ndarray:
 def _needle_objective(
     theta: float, v: complex, base_width: float, w2: np.ndarray, band: int
 ):
-    """Fit objective of one needle: (cost_grad, x0, spectrum).
+    """Fit objective of one needle: (cost_grad, gauss_newton, x0, spectrum).
 
     The parameters p = (psi, u) are nodal phase and log-modulus values on the
-    hat ladder.  cost_grad(p) returns mean(w2 |exp(F)-1|^2), plus a stiff
-    penalty under Re F = -RE_FLOOR (certificate margin) and a soft anchor on
-    the point value (kept exact by the final rescale; the anchor only stops
-    the fit from trading the point for energy), and its exact gradient.  x0
-    is the tent/Gaussian start, and spectrum(p) is _G times the needle's
+    hat ladder, and F = (u + i psi) H on the grid, where the rows of
+    H = ifft(S) are the completed, band-limited hats.  The cost is the sum of
+    squares of three residuals: r1 = sqrt(w2/G)(exp(F) - 1) on the grid, a
+    stiff r2 = sqrt(FLOOR_PENALTY/G) * max(0, -Re F - RE_FLOOR) (certificate
+    margin), and a soft anchor r3 = sqrt(POINT_PENALTY)(F(zeta) - v) on the
+    point value (kept exact by the final rescale; the anchor only stops the
+    fit from trading the point for energy).  cost_grad(p) returns the cost
+    and its exact gradient 2 J^T r, gauss_newton(p) the matrix 2 J^T J, x0 is
+    the tent/Gaussian start, and spectrum(p) is _G times the needle's
     coefficients 0..band.
     """
     hats = _hat_basis(theta, base_width)
     nn = len(hats)
     S = np.fft.fft(hats, axis=1)[:, : band + 1] * _analytic_mask(band)
-    S_adj = np.conj(S) / _G
+    H = np.fft.ifft(S, _G, axis=1)
     point_row = S @ np.exp(1j * np.arange(band + 1) * theta) / _G
+    sw = np.sqrt(w2 / _G)
+    floor_w = FLOOR_PENALTY / _G
 
     def spectrum(p: np.ndarray) -> np.ndarray:
         return np.einsum("p,pk->k", p[nn:] + 1j * p[:nn], S)
 
     def cost_grad(p: np.ndarray):
-        F = np.fft.ifft(spectrum(p), _G)
+        c = p[nn:] + 1j * p[:nn]
+        F = c @ H
         B = np.exp(F)
-        D = B - 1.0
+        r1 = sw * (B - 1.0)
         viol = np.maximum(0.0, -F.real - RE_FLOOR)
-        dv = complex((p[nn:] + 1j * p[:nn]) @ point_row) - v
+        dv = complex(c @ point_row) - v
         E = (
-            float(np.mean(w2 * np.abs(D) ** 2))
-            + FLOOR_PENALTY * float(np.mean(viol**2))
+            float(np.vdot(r1, r1).real)
+            + floor_w * float(viol @ viol)
             + POINT_PENALTY * abs(dv) ** 2
         )
-        gr_re = (2.0 * w2 * np.real(np.conj(D) * B) - 2.0 * FLOOR_PENALTY * viol) / _G
-        gr_im = -2.0 * w2 * np.imag(np.conj(D) * B) / _G
-        pull = np.einsum("pk,k->p", S_adj, np.fft.fft(gr_re + 1j * gr_im)[: band + 1])
-        gpsi = pull.imag + 2.0 * POINT_PENALTY * np.real(np.conj(dv) * 1j * point_row)
-        gu = pull.real + 2.0 * POINT_PENALTY * np.real(np.conj(dv) * point_row)
-        return E, np.concatenate([gpsi, gu])
+        a = np.conj(H @ (sw * B * np.conj(r1))) + POINT_PENALTY * np.conj(point_row) * dv
+        Hv = H @ viol
+        grad = 2.0 * np.concatenate([a.imag + floor_w * Hv.imag, a.real - floor_w * Hv.real])
+        return E, grad
+
+    def gauss_newton(p: np.ndarray) -> np.ndarray:
+        F = (p[nn:] + 1j * p[:nn]) @ H
+        # |d r1 / d c| = sw |exp(F)| |H|: the phase of exp(F) cancels in M
+        mod = sw * np.exp(F.real)
+        M = POINT_PENALTY * np.outer(np.conj(point_row), point_row)
+        for s in range(0, _G, _GN_CHUNK):
+            K = H[:, s : s + _GN_CHUNK] * mod[s : s + _GN_CHUNK]
+            M += np.conj(K) @ K.T
+        Ha = H[:, F.real < -RE_FLOOR]
+        R = np.concatenate([Ha.imag, -Ha.real])
+        A = np.block([[M.real, M.imag], [-M.imag, M.real]]) + floor_w * (R @ R.T)
+        return 2.0 * A
 
     nodes = np.asarray(NODE_LADDER, dtype=float) * (base_width / LADDER_SCALE)
     x0 = np.concatenate([
         v.imag * np.maximum(0.0, 1.0 - nodes / base_width),
         v.real * np.exp(-((nodes / (base_width / 3.0)) ** 2)),
     ])
-    return cost_grad, x0, spectrum
+    return cost_grad, gauss_newton, x0, spectrum
+
+
+def _levenberg_marquardt(fun, x0, jac, hess, maxiter, **_):
+    """Levenberg-Marquardt minimizer in scipy's custom-method form.
+
+    ``minimize(..., jac=True, hess=..., method=_levenberg_marquardt)`` hands
+    over the value ``fun``, the gradient ``jac`` and the Gauss-Newton matrix
+    ``hess``.  Each step solves (A + lam diag(A)) d = -g at the current point;
+    lam starts at 1e-3, is divided by 3 on an accepted step and multiplied by
+    4 on a rejected one.  The loop stops after ``maxiter`` accepted steps, or
+    when no damped step lowers the cost: the damping has shrunk the step
+    below the rounding of x.
+    """
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    nfev, nit, lam = 1, 0, 1e-3
+    stalled = False
+    while nit < maxiter and not stalled:
+        g, A = jac(x), hess(x)
+        D = np.diag(np.diag(A))
+        while True:
+            step = np.linalg.solve(A + lam * D, -g)
+            if np.linalg.norm(step) <= np.finfo(float).eps * np.linalg.norm(x):
+                stalled = True
+                break
+            f_new = fun(x + step)
+            nfev += 1
+            if f_new < f:
+                x, f, lam = x + step, f_new, lam / 3.0
+                nit += 1
+                break
+            lam *= 4.0
+    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev)
 
 
 def _refined_needle(
@@ -194,22 +252,26 @@ def _refined_needle(
 ) -> np.ndarray:
     """Coefficients of one needle F with F(e^{i theta}) = v exactly.
 
-    L-BFGS minimizes the objective of _needle_objective.  The profile is
-    linear in its parameters and the completion, band limit and Hilbert
-    transform are Fourier multipliers, so the spectra S of the completed,
-    band-limited hats are computed once per fit.  Each objective call then
-    makes two FFTs: an inverse one of (u + i psi) S onto the grid, and one
-    of the grid gradient, whose frequencies 0..band contract with conj(S)
-    into the exact gradient.  The contractions use einsum, not BLAS, whose
-    threaded matvec is slower at these sizes.
+    A Levenberg-Marquardt fit minimizes the least-squares objective of
+    _needle_objective.  The profile is linear in its parameters and the
+    completion, band limit and Hilbert transform are Fourier multipliers, so
+    H is computed once per fit, the residual Jacobian is exact, and the
+    Gauss-Newton matrix is one 12 x 12 complex block built in grid chunks.
+
+    The fit scores exp(F) on the grid, not the truncated exp series that
+    ships, and it stops after NEEDLE_MAXITER steps, short of convergence: the
+    step count sets the order m that steering needs (module docstring).
     """
-    cost_grad, x0, spectrum = _needle_objective(theta, v, base_width, w2, band)
+    cost_grad, gauss_newton, x0, spectrum = _needle_objective(
+        theta, v, base_width, w2, band
+    )
     fit = minimize(
         cost_grad,
         x0,
         jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": NEEDLE_MAXITER, "ftol": 1e-15, "gtol": 1e-13},
+        hess=gauss_newton,
+        method=_levenberg_marquardt,
+        options={"maxiter": NEEDLE_MAXITER},
     )
     c = spectrum(fit.x) / _G
     val = complex(np.polyval(c[::-1], np.exp(1j * theta)))

@@ -84,7 +84,9 @@ W2 = np.abs(eval_on_circle_grid(CoeffSeries([1.0, -0.5]), zerofree.NEEDLE_GRID_L
 
 def grid_objective(theta, v, base_width, w2, band):
     """The needle objective computed on the grid: profile = hats . p, then
-    F = ifft(fft(profile) * mask), with the adjoint as the mirrored FFT pair."""
+    F = ifft(fft(profile) * mask), with the adjoint as the mirrored FFT pair.
+    Returns (cost_grad, residuals); residuals(p) is the real vector
+    [Re r1, Im r1, r2, Re r3, Im r3] whose sum of squares is the cost."""
     G = zerofree._G
     hats = zerofree._hat_basis(theta, base_width)
     nn = len(hats)
@@ -92,13 +94,16 @@ def grid_objective(theta, v, base_width, w2, band):
     am[: band + 1] = zerofree._analytic_mask(band)
     point_row = (np.fft.fft(hats, axis=1) * am) @ np.exp(1j * np.arange(G) * theta) / G
 
-    def cost_grad(p):
+    def field(p):
         prof = p[nn:] @ hats + 1j * (p[:nn] @ hats)
-        F = np.fft.ifft(np.fft.fft(prof) * am)
+        return np.fft.ifft(np.fft.fft(prof) * am), complex((p[nn:] + 1j * p[:nn]) @ point_row)
+
+    def cost_grad(p):
+        F, Fz = field(p)
         B = np.exp(F)
         D = B - 1.0
         viol = np.maximum(0.0, -F.real - zerofree.RE_FLOOR)
-        dv = complex((p[nn:] + 1j * p[:nn]) @ point_row) - v
+        dv = Fz - v
         E = (
             np.mean(w2 * np.abs(D) ** 2)
             + zerofree.FLOOR_PENALTY * np.mean(viol**2)
@@ -112,7 +117,14 @@ def grid_objective(theta, v, base_width, w2, band):
         gu = hats @ pull.real + np.real(anchor)
         return E, np.concatenate([gpsi, gu])
 
-    return cost_grad
+    def residuals(p):
+        F, Fz = field(p)
+        r1 = np.sqrt(w2 / G) * (np.exp(F) - 1.0)
+        r2 = np.sqrt(zerofree.FLOOR_PENALTY / G) * np.maximum(0.0, -F.real - zerofree.RE_FLOOR)
+        r3 = np.sqrt(zerofree.POINT_PENALTY) * (Fz - v)
+        return np.concatenate([r1.real, r1.imag, r2, [r3.real, r3.imag]])
+
+    return cost_grad, residuals
 
 
 def random_params(rng, n):
@@ -124,8 +136,8 @@ def random_params(rng, n):
 def test_spectral_objective_matches_the_grid_objective(level, band):
     rng = np.random.default_rng(level)
     theta, v = 0.3, 0.7 + 0.4j
-    cost_grad, x0, _ = zerofree._needle_objective(theta, v, 1.0 / level, W2, band)
-    reference = grid_objective(theta, v, 1.0 / level, W2, band)
+    cost_grad, _, x0, _ = zerofree._needle_objective(theta, v, 1.0 / level, W2, band)
+    reference, _ = grid_objective(theta, v, 1.0 / level, W2, band)
     for p in (x0, random_params(rng, len(x0)), random_params(rng, len(x0))):
         E, g = cost_grad(p)
         E_ref, g_ref = reference(p)
@@ -135,7 +147,7 @@ def test_spectral_objective_matches_the_grid_objective(level, band):
 
 def test_spectral_gradient_matches_central_differences():
     rng = np.random.default_rng(7)
-    cost_grad, x0, _ = zerofree._needle_objective(1.0, -0.5 + 0.8j, 1.0 / 8, W2, 64)
+    cost_grad, _, x0, _ = zerofree._needle_objective(1.0, -0.5 + 0.8j, 1.0 / 8, W2, 64)
     p = random_params(rng, len(x0))
     _, g = cost_grad(p)
     h = 1e-6
@@ -144,6 +156,50 @@ def test_spectral_gradient_matches_central_differences():
         step[i] = h
         fd = (cost_grad(p + step)[0] - cost_grad(p - step)[0]) / (2.0 * h)
         assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("level,band", KERNEL_SIZES[:2])
+def test_gauss_newton_matrix_and_gradient_match_the_residual_jacobian(level, band):
+    # J by central differences of the grid-domain residuals at a point where
+    # the floor is active; the Gauss-Newton matrix is 2 J^T J and the
+    # gradient 2 J^T r.
+    rng = np.random.default_rng(level + 1)
+    theta, v = 0.3, 0.7 + 0.4j
+    cost_grad, gauss_newton, x0, _ = zerofree._needle_objective(theta, v, 1.0 / level, W2, band)
+    _, residuals = grid_objective(theta, v, 1.0 / level, W2, band)
+    p = random_params(rng, len(x0))
+    r = residuals(p)
+    assert np.any(r[2 * zerofree._G : 3 * zerofree._G] > 0.0)
+    h = 1e-6
+    J = np.empty((len(r), len(p)))
+    for i in range(len(p)):
+        step = np.zeros_like(p)
+        step[i] = h
+        J[:, i] = (residuals(p + step) - residuals(p - step)) / (2.0 * h)
+    A_ref = 2.0 * J.T @ J
+    g_ref = 2.0 * J.T @ r
+    assert np.linalg.norm(gauss_newton(p) - A_ref) <= 1e-6 * np.linalg.norm(A_ref)
+    assert np.linalg.norm(cost_grad(p)[1] - g_ref) <= 1e-6 * np.linalg.norm(g_ref)
+
+
+def test_refined_needle_fits_through_one_minimize_call(monkeypatch):
+    # perfbench's needle-fit span wraps zerofree.minimize and reads nit and
+    # nfev off its result.
+    fits = []
+    real_minimize = zerofree.minimize
+
+    def spy(fun, x0, *args, **kwargs):
+        res = real_minimize(fun, x0, *args, **kwargs)
+        fits.append((fun(x0)[0], res))
+        return res
+
+    monkeypatch.setattr(zerofree, "minimize", spy)
+    zerofree._refined_needle(0.3, 0.7 + 0.4j, 1.0 / 16, W2, 64)
+    assert len(fits) == 1
+    cost_x0, res = fits[0]
+    assert 1 <= res.nit <= zerofree.NEEDLE_MAXITER
+    assert res.nfev >= res.nit
+    assert res.fun <= cost_x0
 
 
 def test_refined_needle_hits_its_value_off_the_grid():
