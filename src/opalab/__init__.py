@@ -57,7 +57,6 @@ from .spaces import (
     AlphaWeight,
     dirichlet_integral,
     inner_product_alpha,
-    inner_product_error_bound,
     norm_alpha,
 )
 from .steer import AchievedErrors, SteerResult, StructuredProduct, opa_search_m, steer

@@ -112,16 +112,6 @@ class BoundarySet:
     def is_full_circle(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][1] >= np.pi - 1e-12
 
-    def contains(self, theta: float, tol: float = 1e-12) -> bool:
-        t = normalize_angle(theta)
-        for p in self.points:
-            if circle_gap(t, p) <= tol:
-                return True
-        for c, hw in self.arcs:
-            if circle_gap(t, c) <= hw + tol:
-                return True
-        return False
-
     def arc_sample_spacing(self) -> float:
         """Largest spacing between adjacent samples inside any arc (0 if none)."""
         worst = 0.0

@@ -44,7 +44,7 @@ CERT_GRID_LOG2 = 14
 CERT_RADII = (0.5, 0.9, 0.99)
 SUP_BOUND_TOL = 1e-6
 PEAK_DEV_GRID_TOL = 1e-4
-EXP_SERIES_MAX_DEGREE = 4096
+RIPPLE_MIN_DEGREE = 4096
 
 
 def _bump_phi(t: np.ndarray) -> np.ndarray:
@@ -207,56 +207,36 @@ def analytic_completion(u: BoundaryFunction, N: int) -> CoeffSeries:
     return CoeffSeries(c, tail)
 
 
-def _grid_exp_coeffs(F: CoeffSeries, grid_log2: int, n_out: int):
-    """Coefficients of exp(-F) read off a circle grid with a spectral tail estimate.
-
-    Exact on the grid; reading coefficients assumes the spectrum beyond the
-    grid is negligible (checked against the power-series recurrence in the
-    tests at moderate sizes).
-    """
-    G = 1 << grid_log2
-    vals = np.exp(-eval_on_circle_grid(F, grid_log2))
-    spec = np.fft.fft(vals) / G
-    tail = float(np.linalg.norm(spec[n_out + 1 : G // 2])) if n_out + 1 < G // 2 else 0.0
-    return spec[: n_out + 1], tail
-
-
 def _exp_within_ripple(F: CoeffSeries, grid_log2: int, ripple: float):
     """h = 1 - exp(-F) truncated where the discarded spectral mass fits ``ripple``.
 
     The C-infinity bump behind F has a sub-geometric spectrum, so a fixed
     truncation degree can leave ripple at the dip far above the certified
     peak-deviation budget.  Measuring the cumulative tail and picking the
-    degree from it keeps the dip depth honest; None means no degree below
-    the Nyquist cap fits and the caller should enlarge the grid.
+    degree from it keeps the dip depth honest.  The read-off runs to degree
+    G - 1, so the tail also counts the spectrum past the Nyquist cap, which
+    a grid too coarse for exp(-F) fills; None means no degree below the cap
+    fits and the caller should enlarge the grid.  The degree never drops
+    below RIPPLE_MIN_DEGREE, even where a lower one fits.
     """
     G = 1 << grid_log2
-    vals = np.exp(-eval_on_circle_grid(F, grid_log2))
-    spec = np.fft.fft(vals) / G
-    mags = np.abs(spec)
+    e = exp_series(-F, G - 1, grid_log2)
+    mags = np.abs(e.coeffs)
     tail = np.cumsum(mags[::-1])[::-1]
     cap = G // 2 - 1
     feasible = np.nonzero(tail[1 : cap + 2] <= ripple)[0]
     if len(feasible) == 0:
         return None
-    degree = min(max(int(feasible[0]), EXP_SERIES_MAX_DEGREE), cap)
-    h_coeffs = -spec[: degree + 1]
-    h_coeffs[0] += 1.0
-    return CoeffSeries(h_coeffs, float(np.linalg.norm(mags[degree + 1 :])))
+    degree = min(max(int(feasible[0]), RIPPLE_MIN_DEGREE), cap)
+    h_tail = float(np.linalg.norm(mags[degree + 1 :]))
+    return CoeffSeries([1.0]) - CoeffSeries(e.coeffs[: degree + 1], h_tail)
 
 
 def _peak_function_from_profile(u: BoundaryFunction, N: int, degree: int):
     """Damped completion F and h = 1 - exp(-F) truncated at ``degree``."""
     damped = fejer_mean(u, N)
     F = analytic_completion(damped, N)
-    if degree <= EXP_SERIES_MAX_DEGREE:
-        h1 = exp_series(-F, degree)
-        h1_coeffs, tail = h1.coeffs, 0.0
-    else:
-        h1_coeffs, tail = _grid_exp_coeffs(F, u.grid_log2, degree)
-    h_coeffs = -np.asarray(h1_coeffs, dtype=np.complex128)
-    h_coeffs[0] += 1.0
-    return F, CoeffSeries(h_coeffs, tail)
+    return F, CoeffSeries([1.0]) - exp_series(-F, degree, u.grid_log2)
 
 
 def _values_at_angles(a: CoeffSeries, angles: np.ndarray) -> np.ndarray:
@@ -595,10 +575,7 @@ def dirichlet_rudin(
             coeffs[1:] += mu.capacity * muhat / ks
             cap_sum += mu.capacity
         F = CoeffSeries(coeffs, cap_sum / np.sqrt(N))
-        h1 = exp_series(-F, N)
-        h_coeffs = -h1.coeffs
-        h_coeffs[0] += 1.0
-        h = CoeffSeries(h_coeffs, 0.0)
+        h = CoeffSeries([1.0]) - exp_series(-F, N)
         energy = dirichlet_integral(h)
         cert = _certify(h, E, U, dirichlet_energy=energy)
         if (

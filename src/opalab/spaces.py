@@ -48,26 +48,6 @@ def inner_product_alpha(a: CoeffSeries, b: CoeffSeries, w: AlphaWeight) -> compl
     return complex(np.sum(weights * a.coeffs[:n] * np.conj(b.coeffs[:n])))
 
 
-def inner_product_error_bound(a: CoeffSeries, b: CoeffSeries, w: AlphaWeight) -> float:
-    """Bound on the inner-product mass missed outside the stored ranges.
-
-    At alpha = 0 this is the exact Cauchy-Schwarz bound
-    ||a|| tail(b) + ||b|| tail(a) + tail(a) tail(b).  For alpha > 0 the H^2
-    tail bounds cannot control the weighted tail rigorously, so the same
-    expression is scaled by (N+2)^(alpha/2); treat that as a working
-    estimate rather than a certificate.
-    """
-    base = (
-        a.h2_norm() * b.tail_bound
-        + b.h2_norm() * a.tail_bound
-        + a.tail_bound * b.tail_bound
-    )
-    if w.alpha == 0.0 or base == 0.0:
-        return base
-    N = max(a.truncation_degree, b.truncation_degree)
-    return float((N + 2) ** (w.alpha / 2.0) * base)
-
-
 def norm_alpha(a: CoeffSeries, w: AlphaWeight) -> float:
     val = inner_product_alpha(a, a, w).real
     return float(np.sqrt(max(val, 0.0)))

@@ -34,6 +34,22 @@ def random_poly(rng, deg, scale=1.0):
     return CoeffSeries(scale * c)
 
 
+def exp_recurrence(c, N):
+    """Taylor coefficients of exp(sum c_k z^k) up to degree N, term by term.
+
+    The derivative recurrence n b_n = sum_{k=1..n} k c_k b_{n-k} with
+    b_0 = exp(c_0): no grid, so no aliasing, only rounding.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    ka = np.arange(len(c)) * c
+    b = np.zeros(N + 1, dtype=np.complex128)
+    b[0] = np.exp(c[0])
+    for n in range(1, N + 1):
+        m = min(n, len(c) - 1)
+        b[n] = np.dot(ka[1 : m + 1], b[n - 1 : n - m - 1 if n > m else None : -1]) / n
+    return b
+
+
 def poly_from_roots(roots, lead=1.0):
     """Coefficients of lead * prod (z - r), ascending order."""
     c = np.atleast_1d(np.poly(np.asarray(roots, complex)))[::-1]
@@ -140,6 +156,40 @@ def test_exp_times_exp_of_negation_is_one():
 def test_exp_rejects_negative_degree():
     with pytest.raises(InvalidParameterError):
         exp_series(CoeffSeries([0.0, 1.0]), -2)
+
+
+@pytest.mark.parametrize("N", [64, 1024, 4096])
+def test_exp_matches_the_recurrence_on_needle_shaped_inputs(N):
+    # the shipped multipliers exp(F) have F of degree N/2 with sum |F_k|
+    # near 4; the default grid must leave no visible aliasing there
+    rng = np.random.default_rng(N)
+    c = rng.normal(size=N // 2 + 1) + 1j * rng.normal(size=N // 2 + 1)
+    c *= 4.0 / np.sum(np.abs(c))
+    want = exp_recurrence(c, N)
+    got = exp_series(CoeffSeries(c), N).coeffs
+    assert len(got) == N + 1
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_exp_on_a_given_grid_is_the_grid_spectrum():
+    rng = np.random.default_rng(19)
+    a = random_poly(rng, 40, scale=0.1)
+    N, q = 50, 9
+    want = np.fft.fft(np.exp(eval_on_circle_grid(a, q)))[: N + 1] / 2**q
+    assert np.array_equal(exp_series(a, N, q).coeffs, want)
+
+
+def test_exp_rejects_a_degree_past_the_grid():
+    with pytest.raises(InvalidParameterError):
+        exp_series(CoeffSeries([0.0, 1.0]), 16, 4)
+
+
+def test_exp_tail_bound_is_the_grid_mass_past_the_degree():
+    # exp(z) at N = 3 reads off the default grid G = 16, whose spectrum is
+    # 1/k! for k < G (aliasing adds 1/(k+16)! and less, below 1e-17 relative)
+    e = exp_series(CoeffSeries([0.0, 1.0]), 3)
+    want = math.sqrt(sum(1.0 / math.factorial(k) ** 2 for k in range(4, 16)))
+    assert e.tail_bound == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------- evaluate

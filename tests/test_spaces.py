@@ -14,7 +14,6 @@ from opalab import (
     InvalidParameterError,
     dirichlet_integral,
     inner_product_alpha,
-    inner_product_error_bound,
     norm_alpha,
 )
 
@@ -148,13 +147,3 @@ def test_alpha_weight_range_enforced():
             AlphaWeight(bad)
     AlphaWeight(0.0)
     AlphaWeight(1.0)
-
-
-def test_inner_product_error_bound_behaviour():
-    exact = CoeffSeries([1.0, 2.0])
-    assert inner_product_error_bound(exact, exact, H2) == 0.0
-    fuzzy = CoeffSeries([1.0, 2.0], tail_bound=0.25)
-    b0 = inner_product_error_bound(exact, fuzzy, H2)
-    assert b0 == pytest.approx(exact.h2_norm() * 0.25)
-    # weighted variant only grows the estimate
-    assert inner_product_error_bound(exact, fuzzy, DIR) >= b0
