@@ -21,7 +21,6 @@ from .errors import (
     BoundaryRootError,
     BudgetError,
     ConstructionError,
-    ConvergenceFailureError,
     DomainError,
     IllConditionedError,
     InvalidInputError,

@@ -102,7 +102,10 @@ def _build_parser() -> _Parser:
     cap = rudin_sub.add_parser("capacity", help="equilibrium measure of an arc set")
     cap.add_argument("--set", dest="set_path", required=True, help="arc-set JSON")
     cap.add_argument("--nodes", type=int, help="nodes per arc (default 128)")
-    cap.add_argument("--iterations", type=int, help="descent iterations (default 2000)")
+    cap.add_argument(
+        "--iterations", type=int,
+        help="accepted and ignored: the minimizer comes from one linear solve",
+    )
     common(cap)
 
     zf = sub.add_parser("zerofree", help="simultaneous zero-free approximation")
@@ -284,9 +287,8 @@ def _cmd_rudin_build(args, config):
 def _cmd_rudin_capacity(args, config):
     arcs = boundary_set_from_json(_load_tree(args.set_path))
     nodes = _setting(args, config, "nodes", 128, int)
-    iterations = _setting(args, config, "iterations", 2000, int)
-    measure = equilibrium_measure(arcs, nodes, iterations=iterations)
-    inputs = {"set": arcs, "nodes": nodes, "iterations": iterations}
+    measure = equilibrium_measure(arcs, nodes)
+    inputs = {"set": arcs, "nodes": nodes}
     table = [[float(t), float(w)] for t, w in zip(measure.nodes, measure.weights)]
     return inputs, measure, {"node_count": len(table)}, (["angle", "weight"], table)
 

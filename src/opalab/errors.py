@@ -55,10 +55,6 @@ class ApproximationBudgetError(BudgetError):
     """The degree/level search ended without meeting the error target."""
 
 
-class ConvergenceFailureError(BudgetError):
-    """An iterative method stopped making progress."""
-
-
 class ConstructionError(BudgetError):
     """A constructive step (peak function, completion) failed to meet
     its own certified bounds within budget."""

@@ -126,13 +126,13 @@ def _cholesky_condition(M: np.ndarray, inv: np.ndarray) -> float:
     return _condition(norm1, lambda v: inv.conj().T @ (inv @ np.ravel(v)), len(M))
 
 
-def _check_pivot(low: float, trace: float, n: int, alpha: float, condition) -> None:
-    """Refuse order n when its smallest pivot is below PIVOT_RTOL * trace(M_n)."""
+def _check_pivot(low: float, trace: float, condition, **diagnostics) -> None:
+    """Refuse a factor whose smallest pivot is below PIVOT_RTOL * its trace."""
     if not low >= PIVOT_RTOL * trace:
         raise IllConditionedError(
-            "Gram pivot below the conditioning threshold",
+            "pivot below the conditioning threshold",
             condition_estimate=condition(),
-            diagnostics={"n": n, "alpha": alpha, "pivot_ratio": float(low / max(trace, 1e-300))},
+            diagnostics=dict(diagnostics, pivot_ratio=float(low / max(trace, 1e-300))),
         )
 
 
@@ -154,7 +154,7 @@ def _levinson_orders(f: CoeffSeries, n_max: int):
             x = (x - eps * np.conj(x[::-1])) / (1.0 - abs(eps) ** 2)
             low = min(low, 1.0 / x[0].real)
         condition = partial(_levinson_condition, r, x)
-        _check_pivot(low, (n + 1) * r[0].real, n, 0.0, condition)
+        _check_pivot(low, (n + 1) * r[0].real, condition, n=n, alpha=0.0)
         yield np.conj(f.coeffs[0] * x), condition
 
 
@@ -186,7 +186,7 @@ def _cholesky_orders(f: CoeffSeries, w: AlphaWeight, n_max: int, block: int):
         low = min(low, pivots[n])
         q = np.append(q, 0.0) + np.conj(f.coeffs[0] * inv[n, 0]) * inv[n, : n + 1]
         condition = partial(_cholesky_condition, M[: n + 1, : n + 1], inv[: n + 1, : n + 1])
-        _check_pivot(low, trace[n], n, w.alpha, condition)
+        _check_pivot(low, trace[n], condition, n=n, alpha=w.alpha)
         yield q, condition
 
 

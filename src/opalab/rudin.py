@@ -24,17 +24,20 @@ potentials of shrinking arc neighborhoods, weighted by their capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import scipy.linalg
 
 from .boundary import TWO_PI, BoundarySet, circle_gap
 from .errors import (
     ConstructionError,
-    ConvergenceFailureError,
+    IllConditionedError,
     InvalidInputError,
     InvalidParameterError,
     ResolutionExceededError,
 )
+from .opa import _check_pivot, _condition
 from .series import CoeffSeries, dilate, eval_on_circle_grid, exp_series
 from .spaces import dirichlet_integral
 
@@ -335,6 +338,8 @@ def hardy_rudin(
     q = grid_log2
     tries = 0
     diag = {}
+    best_peak = -np.inf
+    grids_tried = []
     while q <= GRID_CAP_LOG2 and tries < 3:
         try:
             u = bump_profile(E, U, peak, delta, q)
@@ -343,14 +348,23 @@ def hardy_rudin(
             continue
         G = 1 << q
         uhat = np.fft.rfft(u.grid_values) / G
+        grids_tried.append(q)
         N = None
         cand = 256
         while cand <= G // 2:
-            if min(_damped_peak_at(uhat, cand, p) for p in E.points) >= m_req:
+            reached = min(_damped_peak_at(uhat, cand, p) for p in E.points)
+            best_peak = max(best_peak, reached)
+            if reached >= m_req:
                 N = cand
                 break
             cand *= 2
         if N is None:
+            diag = {
+                "reason": "damping-degree search found no N <= G/2 reaching m_req",
+                "best_damped_peak": best_peak,
+                "m_req": float(m_req),
+                "grids_tried": grids_tried,
+            }
             q += 2
             continue
         damped = fejer_mean(u, N)
@@ -443,35 +457,28 @@ def _poisson_peak(
     return RudinFunction(F, h, E, U, cert)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def equilibrium_measure(
-    arcs: BoundarySet, nodes_per_arc: int, iterations: int = 2000
-) -> DiscreteMeasure:
+def equilibrium_measure(arcs: BoundarySet, nodes_per_arc: int) -> DiscreteMeasure:
     """Minimize discrete logarithmic energy over probability weights on arc nodes.
 
-    Projected gradient descent on the simplex with step 1/L, L estimated by
-    power iteration on the kernel matrix.  Chebyshev-distributed nodes per
-    proper arc; uniform nodes on the full circle (so symmetry forces the
-    uniform measure there).  Energy excludes the diagonal.
+    Chebyshev-distributed nodes per proper arc; uniform nodes on the full
+    circle (so symmetry forces the uniform measure there).  The energy
+    w^T A w, A the negated kernel with self-energy on the diagonal, is
+    strictly convex on the simplex (A is positive definite on sum w = 0),
+    so w = y / sum(y) with A y = 1 is the minimizer when all its entries
+    are positive.  A may be indefinite (it is on the full circle); adding
+    a constant c to every entry adds exactly c to the energy on the
+    simplex, so one Cholesky solve on A + c gives the same w.  A failed
+    factor or a pivot under opa's PIVOT_RTOL rule raises
+    IllConditionedError, and a nonpositive weight ConstructionError.
 
     The capacity estimate is biased upward: an arc of half-angle hw has
-    capacity sin(hw/2), and at 512 nodes the estimate exceeds it by 1.3-2.1%
-    for hw from 0.05 to 2.5.
+    capacity sin(hw/2), and at 512 nodes the estimate exceeds it by 2.11%,
+    1.75%, 1.50%, 1.41% and 1.33% for hw = 0.05, 0.3, 1.0, pi/2 and 2.5.
     """
     if not arcs.positive_measure:
         raise InvalidInputError("equilibrium measures need arcs of positive length")
     if nodes_per_arc < 8:
         raise InvalidParameterError("nodes_per_arc must be at least 8")
-    if iterations < 10:
-        raise InvalidParameterError("iterations must be at least 10")
 
     if arcs.is_full_circle:
         nodes = np.linspace(0.0, TWO_PI, nodes_per_arc, endpoint=False)
@@ -499,33 +506,26 @@ def equilibrium_measure(
     cell = 0.5 * gaps.min(axis=1)
     K_opt = K + np.diag(np.log(np.maximum(cell, 1e-300)))
 
-    v = np.ones(n) / np.sqrt(n)
-    for _ in range(12):
-        v = K_opt @ v
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            break
-        v /= nv
-    step = 1.0 / (2.2 * max(nv, 1e-12))
+    shifted = (1.0 + np.max(np.abs(K_opt))) - K_opt
+    try:
+        factor = scipy.linalg.cho_factor(shifted)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError(
+            "shifted energy matrix is not numerically positive definite",
+            condition_estimate=float("inf"),
+            diagnostics={"nodes": n},
+        )
 
-    w = np.full(n, 1.0 / n)
-    best = float(-w @ K_opt @ w)
-    check_every = max(1, iterations // 10)
-    rising = 0
-    for t in range(1, iterations + 1):
-        w = _project_simplex(w + 2.0 * step * (K_opt @ w))
-        if t % check_every == 0:
-            e = float(-w @ K_opt @ w)
-            if e > best + 1e-12:
-                rising += 1
-                if rising >= 3:
-                    raise ConvergenceFailureError(
-                        "energy descent stalled and rose at successive checkpoints",
-                        {"energy": e, "best": best, "iteration": t},
-                    )
-            else:
-                rising = 0
-            best = min(best, e)
+    solve = partial(scipy.linalg.cho_solve, factor)
+    condition = partial(_condition, np.max(np.sum(np.abs(shifted), axis=0)), solve, n)
+    _check_pivot(np.min(np.diag(factor[0])) ** 2, np.trace(shifted), condition, nodes=n)
+    y = solve(np.ones(n))
+    w = y / np.sum(y)
+    if not np.min(w) > 0.0:
+        raise ConstructionError(
+            "energy minimizer leaves the simplex interior",
+            {"min_weight": float(np.min(w)), "nodes": n},
+        )
     energy = float(-w @ K @ w)
     # Excluding the diagonal biases the discrete energy low, so exp(-energy)
     # can land a hair above 1 on the full circle; no subset of the circle has
@@ -540,7 +540,6 @@ def dirichlet_rudin(
     levels: int = 4,
     nodes_per_arc: int = 64,
     truncation_degree: int = 2048,
-    iterations: int = 2000,
 ) -> RudinFunction:
     """Peak function with certified Dirichlet energy at most eps.
 
@@ -569,7 +568,7 @@ def dirichlet_rudin(
         for level in range(levels):
             wn = w1 * 4.0 ** (-level)
             En = BoundarySet(arcs=tuple((p, wn) for p in E.points))
-            mu = equilibrium_measure(En, nodes_per_arc, iterations)
+            mu = equilibrium_measure(En, nodes_per_arc)
             muhat = np.exp(-1j * np.outer(ks, mu.nodes)) @ mu.weights
             coeffs[0] += mu.capacity * np.log(2.0)
             coeffs[1:] += mu.capacity * muhat / ks

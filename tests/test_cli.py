@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opalab.cli import main
 
@@ -103,6 +104,18 @@ def test_rudin_capacity_with_table(files):
     assert len(lines) == art["diagnostics"]["node_count"] + 1
     weights = [float(l.split(",")[1]) for l in lines[1:]]
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+    # --iterations stays parseable for old command lines and changes nothing
+    cfg = files["dir"] / "cap.cfg"
+    cfg.write_text("iterations = 5\n")
+    code, again = run(
+        ["rudin", "capacity", "--set", files["arc"], "--nodes", "512", "--iterations", "5"], out
+    )
+    assert code == 0 and "iterations" not in again["inputs"]
+    assert again["outputs"] == art["outputs"]
+    code, again = run(
+        ["rudin", "capacity", "--set", files["arc"], "--nodes", "512", "--config", str(cfg)], out
+    )
+    assert code == 0 and again["outputs"] == art["outputs"]
 
 
 def test_zerofree_trivial_run(files):
@@ -175,6 +188,20 @@ def test_budget_errors_exit_3_with_diagnostics(files, capsys):
     assert err["diagnostics"]["required_boundary_deviation"] == pytest.approx(
         1.3678794413212816, abs=1e-9
     )
+
+
+def test_ill_conditioned_capacity_exits_3(files, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    out = files["dir"] / "never4.json"
+    code, _ = run(["rudin", "capacity", "--set", files["arc"], "--nodes", "64"], out)
+    assert code == 3
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IllConditionedError"
+    assert err["diagnostics"]["nodes"] == 64
 
 
 def test_usage_errors_exit_64(files, capsys):

@@ -2,16 +2,20 @@
 
 The completion oracle here never touches Fourier coefficients: it
 integrates the boundary profile against the explicit Poisson kernel with
-the periodic trapezoid rule and compares interior values directly.
+the periodic trapezoid rule and compares interior values directly.  The
+equilibrium oracle is projected gradient descent on the simplex, run
+against the same discrete energy.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opalab import (
     BoundaryFunction,
     BoundarySet,
     ConstructionError,
+    IllConditionedError,
     InvalidInputError,
     InvalidParameterError,
     ResolutionExceededError,
@@ -24,9 +28,11 @@ from opalab import (
     hardy_rudin,
     neighborhood,
 )
+from opalab import opa
 from opalab.series import eval_on_circle_grid
 
 E0 = BoundarySet.from_points([0.0])
+loud = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def poisson_oracle(u, r, theta):
@@ -40,6 +46,32 @@ def poisson_oracle(u, r, theta):
 def grid_values(series, grid_log2):
     """Exact values of a coefficient series on the 2**grid_log2 circle grid."""
     return eval_on_circle_grid(series, grid_log2)
+
+
+def energy_matrix(nodes):
+    """A = -log|x_i - x_j| off the diagonal, minus log(half the nearest gap) on it."""
+    x = np.exp(1j * nodes)
+    dist = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(dist, np.inf)
+    A = -np.log(np.where(np.isinf(dist), 1.0, dist))
+    np.fill_diagonal(A, -np.log(0.5 * dist.min(axis=1)))
+    return A
+
+
+def project_simplex(v):
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0.0)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+def projected_gradient_oracle(A, iterations=2000):
+    """Minimize w^T A w on the simplex by projected gradient steps of 1/(2.2 L)."""
+    L = np.linalg.norm(A, 2)
+    w = np.full(len(A), 1.0 / len(A))
+    for _ in range(iterations):
+        w = project_simplex(w - (2.0 / (2.2 * L)) * (A @ w))
+    return w
 
 
 # ----------------------------------------------------------------- profiles
@@ -196,8 +228,19 @@ def test_hardy_peak_rejects_bad_domains():
         hardy_rudin(BoundarySet.from_points([1.0]), neighborhood(E0, 0.2), 0.05, 12.0)
 
 
+def test_hardy_peak_damping_search_failure_carries_diagnostics():
+    E = BoundarySet.from_points([0.0, np.pi / 2])
+    with pytest.raises(ConstructionError) as info:
+        hardy_rudin(E, neighborhood(E, 0.2), 0.01, 6.0)
+    diag = info.value.diagnostics
+    assert "damping-degree search" in diag["reason"]
+    assert diag["best_damped_peak"] < diag["m_req"]
+    assert diag["grids_tried"] and max(diag["grids_tried"]) <= 22
+
+
 # ------------------------------------------------------------- equilibrium
 
+@loud
 def test_equilibrium_full_circle_is_uniform():
     mu = equilibrium_measure(BoundarySet.full_circle(), 512)
     assert np.max(np.abs(mu.weights - 1.0 / 512)) < 1e-6
@@ -205,12 +248,14 @@ def test_equilibrium_full_circle_is_uniform():
     assert mu.capacity <= 1.0
 
 
+@loud
 def test_equilibrium_semicircle_capacity():
     mu = equilibrium_measure(BoundarySet(arcs=((0.0, np.pi / 2),)), 512)
     target = np.sin(np.pi / 4)
     assert abs(mu.capacity - target) / target < 0.03
 
 
+@loud
 @pytest.mark.parametrize("hw", [0.05, 0.3, 1.0, np.pi / 2, 2.5])
 def test_equilibrium_capacity_overestimates_the_arc_closed_form(hw):
     # An arc of half-angle hw has capacity sin(hw/2) (Ransford, Potential
@@ -221,25 +266,82 @@ def test_equilibrium_capacity_overestimates_the_arc_closed_form(hw):
     assert 0.0 < bias < 0.03
 
 
+@loud
 def test_equilibrium_capacity_strictly_shrinks_with_the_arc():
     big = equilibrium_measure(BoundarySet(arcs=((0.0, np.pi / 2),)), 256)
     small = equilibrium_measure(BoundarySet(arcs=((0.0, np.pi / 4),)), 256)
     assert small.capacity < big.capacity
 
 
+@loud
 def test_equilibrium_weights_form_a_probability_vector():
     mu = equilibrium_measure(BoundarySet(arcs=((1.0, 0.7),)), 64)
     assert np.sum(mu.weights) == pytest.approx(1.0, abs=1e-12)
     assert np.min(mu.weights) >= -1e-15
 
 
+@loud
 def test_equilibrium_rejects_degenerate_inputs():
     with pytest.raises(InvalidInputError):
         equilibrium_measure(BoundarySet.from_points([0.0]), 64)
     with pytest.raises(InvalidParameterError):
         equilibrium_measure(BoundarySet.full_circle(), 4)
-    with pytest.raises(InvalidParameterError):
-        equilibrium_measure(BoundarySet.full_circle(), 64, iterations=5)
+
+
+@loud
+@pytest.mark.parametrize(
+    "arcs, nodes",
+    [
+        (((1.0, 0.7),), 128),
+        (((0.0, 0.3), (2.0, 0.5)), 64),
+        (None, 128),
+    ],
+)
+def test_equilibrium_is_the_exact_simplex_minimizer(arcs, nodes):
+    E = BoundarySet.full_circle() if arcs is None else BoundarySet(arcs=arcs)
+    mu = equilibrium_measure(E, nodes)
+    A = energy_matrix(mu.nodes)
+    oracle = projected_gradient_oracle(A)
+    assert mu.weights @ A @ mu.weights <= oracle @ A @ oracle + 1e-12
+    assert np.min(mu.weights) > 0.0
+    stationary = A @ mu.weights
+    assert np.ptp(stationary) < 1e-10
+
+
+@loud
+def test_equilibrium_failed_factor_is_ill_conditioned(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    with pytest.raises(IllConditionedError) as info:
+        equilibrium_measure(BoundarySet(arcs=((1.0, 0.7),)), 64)
+    assert info.value.diagnostics["nodes"] == 64
+
+
+@loud
+def test_equilibrium_small_pivot_carries_a_condition_estimate(monkeypatch):
+    monkeypatch.setattr(opa, "PIVOT_RTOL", 1.0)
+    with pytest.raises(IllConditionedError) as info:
+        equilibrium_measure(BoundarySet(arcs=((0.0, 0.3), (2.0, 0.5))), 32)
+    assert info.value.diagnostics["nodes"] == 64
+    assert 1.0 < info.value.condition_estimate < np.inf
+
+
+@loud
+def test_equilibrium_nonpositive_weight_is_a_construction_error(monkeypatch):
+    solve = scipy.linalg.cho_solve
+
+    def flip_one(factor, b):
+        y = solve(factor, b)
+        y[0] = -y[0]
+        return y
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", flip_one)
+    with pytest.raises(ConstructionError) as info:
+        equilibrium_measure(BoundarySet(arcs=((1.0, 0.7),)), 64)
+    assert info.value.diagnostics["min_weight"] < 0.0
+    assert info.value.diagnostics["nodes"] == 64
 
 
 # ---------------------------------------------------- low-energy peak route
