@@ -91,9 +91,14 @@ def _condition(norm1: float, solve, size: int) -> float:
     """||M||_1 times onenormest of M^{-1}, applied through ``solve``.
 
     One probe column (t = 1) keeps the estimate deterministic; wider
-    blocks draw random columns from numpy's global generator.
+    blocks draw random columns from numpy's global generator.  Subnormal
+    solve entries are zeroed: onenormest's x / |x| overflows on them to NaN.
     """
-    inverse = LinearOperator((size, size), matvec=solve, rmatvec=solve, dtype=np.complex128)
+    def flushed(v):
+        out = solve(v)
+        return np.where(np.abs(out) < np.finfo(float).tiny, 0.0, out)
+
+    inverse = LinearOperator((size, size), matvec=flushed, rmatvec=flushed, dtype=np.complex128)
     return float(norm1 * onenormest(inverse, t=1))
 
 

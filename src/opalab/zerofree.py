@@ -18,9 +18,11 @@ jointly, so each needle starts from a tent/Gaussian guess on a graded node
 ladder and is refined by a few Levenberg-Marquardt steps on the actual
 mismatch energy weight * |exp(F) - 1|^2, with the analytic completion and
 the band limit inside the objective, so fine structure the band cannot
-resolve buys nothing.  The fit sees exp(F) on a 2^NEEDLE_GRID_LOG2 grid, not
-the exp series truncated at the multiplier degree that ships; the polish
-rounds and the zero-free certificate handle that truncation.  The step
+resolve buys nothing.  The module's own ``minimize`` takes the steps; every
+fit resolves through that one global name, so a profiler that rebinds it
+sees each fit.  The fit sees exp(F) on a 2^NEEDLE_GRID_LOG2 grid, not the
+exp series truncated at the multiplier degree that ships; the polish rounds
+and the zero-free certificate handle that truncation.  The step
 count NEEDLE_MAXITER sets how far the needles converge, and with it the
 approximant order m that steering needs: fully converged needles leave
 spectral mass past the degree, the truncated exp misses the target at the
@@ -38,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .boundary import BoundarySet, piecewise_partition
 from .errors import (
@@ -214,37 +215,40 @@ def _needle_objective(
     return cost_grad, gauss_newton, x0, spectrum
 
 
-def _levenberg_marquardt(fun, x0, jac, hess, maxiter, **_):
-    """Levenberg-Marquardt minimizer in scipy's custom-method form.
+@dataclass(frozen=True, eq=False)
+class NeedleFit:
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
 
-    ``minimize(..., jac=True, hess=..., method=_levenberg_marquardt)`` hands
-    over the value ``fun``, the gradient ``jac`` and the Gauss-Newton matrix
-    ``hess``.  Each step solves (A + lam diag(A)) d = -g at the current point;
-    lam starts at 1e-3, is divided by 3 on an accepted step and multiplied by
-    4 on a rejected one.  The loop stops after ``maxiter`` accepted steps, or
-    when no damped step lowers the cost: the damping has shrunk the step
-    below the rounding of x.
+
+def minimize(cost_grad, x0, hess) -> NeedleFit:
+    """Levenberg-Marquardt on cost_grad(x) = (cost, gradient) and the
+    Gauss-Newton matrix hess(x): each step solves (A + lam diag(A)) d = -g;
+    lam starts at 1e-3, is divided by 3 on an accepted step and multiplied
+    by 4 on a rejected one.  The loop stops after NEEDLE_MAXITER accepted
+    steps, or when no damped step lowers the cost: the damping has shrunk
+    the step below the rounding of x.
     """
     x = np.asarray(x0, dtype=float)
-    f = fun(x)
+    f, g = cost_grad(x)
     nfev, nit, lam = 1, 0, 1e-3
-    stalled = False
-    while nit < maxiter and not stalled:
-        g, A = jac(x), hess(x)
+    while nit < NEEDLE_MAXITER:
+        A = hess(x)
         D = np.diag(np.diag(A))
         while True:
             step = np.linalg.solve(A + lam * D, -g)
             if np.linalg.norm(step) <= np.finfo(float).eps * np.linalg.norm(x):
-                stalled = True
-                break
-            f_new = fun(x + step)
+                return NeedleFit(x, f, nit, nfev)
+            f_new, g_new = cost_grad(x + step)
             nfev += 1
             if f_new < f:
-                x, f, lam = x + step, f_new, lam / 3.0
+                x, f, g, lam = x + step, f_new, g_new, lam / 3.0
                 nit += 1
                 break
             lam *= 4.0
-    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev)
+    return NeedleFit(x, f, nit, nfev)
 
 
 def _refined_needle(
@@ -252,7 +256,7 @@ def _refined_needle(
 ) -> np.ndarray:
     """Coefficients of one needle F with F(e^{i theta}) = v exactly.
 
-    A Levenberg-Marquardt fit minimizes the least-squares objective of
+    One ``minimize`` call fits the least-squares objective of
     _needle_objective.  The profile is linear in its parameters and the
     completion, band limit and Hilbert transform are Fourier multipliers, so
     H is computed once per fit, the residual Jacobian is exact, and the
@@ -262,18 +266,8 @@ def _refined_needle(
     ships, and it stops after NEEDLE_MAXITER steps, short of convergence: the
     step count sets the order m that steering needs (module docstring).
     """
-    cost_grad, gauss_newton, x0, spectrum = _needle_objective(
-        theta, v, base_width, w2, band
-    )
-    fit = minimize(
-        cost_grad,
-        x0,
-        jac=True,
-        hess=gauss_newton,
-        method=_levenberg_marquardt,
-        options={"maxiter": NEEDLE_MAXITER},
-    )
-    c = spectrum(fit.x) / _G
+    cost_grad, gauss_newton, x0, spectrum = _needle_objective(theta, v, base_width, w2, band)
+    c = spectrum(minimize(cost_grad, x0, gauss_newton).x) / _G
     val = complex(np.polyval(c[::-1], np.exp(1j * theta)))
     return c * (v / val)
 

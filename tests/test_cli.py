@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import opalab
 from opalab.cli import main
 
 PI = math.pi
@@ -263,3 +267,15 @@ def test_repeated_runs_have_identical_outputs(files, tmp_path):
         )
         outs.append(json.dumps(art["outputs"], sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # A fresh interpreter: this test process has scipy.optimize loaded.
+    src = os.path.dirname(os.path.dirname(opalab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, opalab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

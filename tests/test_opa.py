@@ -248,6 +248,17 @@ def test_condition_estimate_tracks_the_reference_gram():
         assert got <= np.linalg.cond(gram, 1) * 1.001
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_condition_estimate_survives_subnormal_solve_entries():
+    # At this order one solve of the estimator returns a subnormal entry;
+    # unflushed, it overflows into NaN in the next probe vector.
+    c = [1.0, -0.5, 0.25]
+    got = opa_solve(CoeffSeries(c), 1024, AlphaWeight(0.5)).condition_estimate
+    want = np.linalg.cond(oracle_gram(c, 1024, 0.5), 1)
+    assert np.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
 def test_flat_boundary_zero_is_refused_as_ill_conditioned():
     f = CoeffSeries(np.polynomial.polynomial.polypow([1.0, -1.0], 10))
     with pytest.raises(IllConditionedError):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from opalab import (
     ApproximationBudgetError,
@@ -200,6 +201,79 @@ def test_refined_needle_fits_through_one_minimize_call(monkeypatch):
     assert 1 <= res.nit <= zerofree.NEEDLE_MAXITER
     assert res.nfev >= res.nit
     assert res.fun <= cost_x0
+
+
+def scipy_levenberg_marquardt(fun, x0, jac, hess, maxiter, **_):
+    # The damped Gauss-Newton loop in scipy's custom-method form, as the
+    # needle fits ran it through scipy.optimize.minimize.
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    nfev, nit, lam = 1, 0, 1e-3
+    stalled = False
+    while nit < maxiter and not stalled:
+        g, A = jac(x), hess(x)
+        D = np.diag(np.diag(A))
+        while True:
+            step = np.linalg.solve(A + lam * D, -g)
+            if np.linalg.norm(step) <= np.finfo(float).eps * np.linalg.norm(x):
+                stalled = True
+                break
+            f_new = fun(x + step)
+            nfev += 1
+            if f_new < f:
+                x, f, lam = x + step, f_new, lam / 3.0
+                nit += 1
+                break
+            lam *= 4.0
+    return scipy.optimize.OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev)
+
+
+@pytest.mark.parametrize("level,band", [KERNEL_SIZES[0], KERNEL_SIZES[2]])
+def test_minimize_reproduces_the_scipy_custom_method(level, band):
+    cost_grad, gauss_newton, x0, _ = zerofree._needle_objective(
+        0.3, 0.7 + 0.4j, 1.0 / level, W2, band
+    )
+    want = scipy.optimize.minimize(
+        cost_grad,
+        x0,
+        jac=True,
+        hess=gauss_newton,
+        method=scipy_levenberg_marquardt,
+        options={"maxiter": zerofree.NEEDLE_MAXITER},
+    )
+    got = zerofree.minimize(cost_grad, x0, gauss_newton)
+    assert np.array_equal(got.x, want.x)
+    assert (got.fun, got.nit, got.nfev) == (want.fun, want.nit, want.nfev)
+
+
+def quadratic_least_squares():
+    A = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, -1.0], [1.0, 0.0, 4.0], [1.0, 1.0, 1.0]])
+    x_min = np.array([1.0, -2.0, 0.5])
+    b = A @ x_min
+
+    def cost_grad(x):
+        r = A @ x - b
+        return float(r @ r), 2.0 * A.T @ r
+
+    return cost_grad, lambda x: 2.0 * A.T @ A, x_min
+
+
+def test_minimize_lowers_the_cost_within_the_step_cap():
+    cost_grad, hess, x_min = quadratic_least_squares()
+    x0 = x_min + np.array([3.0, -1.0, 2.0])
+    fit = zerofree.minimize(cost_grad, x0, hess)
+    assert 1 <= fit.nit <= zerofree.NEEDLE_MAXITER
+    assert fit.nfev >= fit.nit + 1
+    assert fit.fun < cost_grad(x0)[0]
+    assert fit.fun == cost_grad(fit.x)[0]
+
+
+def test_minimize_started_at_the_minimum_takes_the_stall_exit():
+    cost_grad, hess, x_min = quadratic_least_squares()
+    assert cost_grad(x_min)[0] == 0.0
+    fit = zerofree.minimize(cost_grad, x_min, hess)
+    assert np.array_equal(fit.x, x_min)
+    assert (fit.nit, fit.nfev) == (0, 1)
 
 
 def test_refined_needle_hits_its_value_off_the_grid():
