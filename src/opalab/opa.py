@@ -5,9 +5,11 @@ minimizing ||Q f - 1|| in the alpha-weighted norm is conj(f(0)) K_n(., 0),
 where K_n is the reproducing kernel of the polynomials of degree <= n in
 the |f|^2-weighted space.  The kernels are nested, so one walk over the
 orders gives every Q_n: Levinson's recursion on the autocorrelation of f
-at alpha = 0, with no matrix formed, and one Cholesky factor of the
-largest Gram matrix at alpha > 0.  ``opa_solve`` takes the last order of
-a walk, ``convergence_profile`` reports every order of one walk, and the
+at alpha = 0, and at alpha > 0 a Cholesky factor of the Gram matrix grown
+one row per order.  That matrix has band width deg f, so the alpha > 0
+walk keeps only its band and the last deg f rows of the inverse factor;
+neither walk forms a matrix.  ``opa_solve`` takes the last order of a
+walk, ``convergence_profile`` reports every order of one walk, and the
 order search in ``steer`` stops a walk at the first order that passes.
 """
 
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, onenormest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IllConditionedError, InvalidInputError, InvalidParameterError
 from .series import CoeffSeries, evaluate, multiply
@@ -88,18 +89,33 @@ def gram_matrix(f: CoeffSeries, n: int, w: AlphaWeight) -> GramSystem:
 
 
 def _condition(norm1: float, solve, size: int) -> float:
-    """||M||_1 times onenormest of M^{-1}, applied through ``solve``.
+    """||M||_1 times a lower bound of ||M^{-1}||_1, for Hermitian M applied through ``solve``.
 
-    One probe column (t = 1) keeps the estimate deterministic; wider
-    blocks draw random columns from numpy's global generator.  Subnormal
-    solve entries are zeroed: onenormest's x / |x| overflows on them to NaN.
+    Hager's method: from x = 1/size, step to the unit vector e_j at the
+    largest |entry| of M^{-1} sign(M^{-1} x) while ||M^{-1} x||_1 grows, for
+    at most 5 steps; Higham's alternating-sign vector b_i = (-1)^i (1 +
+    i/(size-1)) then guards against a local maximum (Higham 1988, ACM TOMS
+    14:381, Alg. 4.1).  sign(y) = y/|y| is taken in real arithmetic, with
+    sign(0) = 1, so subnormal entries of y cannot overflow it.
     """
-    def flushed(v):
-        out = solve(v)
-        return np.where(np.abs(out) < np.finfo(float).tiny, 0.0, out)
-
-    inverse = LinearOperator((size, size), matvec=flushed, rmatvec=flushed, dtype=np.complex128)
-    return float(norm1 * onenormest(inverse, t=1))
+    x = np.full(size, 1.0 / size)
+    est, j = 0.0, None
+    for _ in range(5):
+        y = solve(x)
+        mag = np.abs(y)
+        if j is not None and np.sum(mag) <= est:
+            break
+        est = np.sum(mag)
+        safe = np.where(mag > 0.0, mag, 1.0)
+        z = np.abs(solve(np.where(mag > 0.0, y.real / safe + 1j * (y.imag / safe), 1.0)))
+        if j is not None and z[j] == np.max(z):
+            break
+        j = int(np.argmax(z))
+        x = np.zeros(size)
+        x[j] = 1.0
+    alternating = (-1.0) ** np.arange(size) * (1.0 + np.arange(size) / max(size - 1, 1))
+    est = max(est, 2.0 * np.sum(np.abs(solve(alternating))) / (3.0 * size))
+    return float(norm1 * est)
 
 
 def _levinson_condition(r: np.ndarray, x: np.ndarray) -> float:
@@ -119,16 +135,35 @@ def _levinson_condition(r: np.ndarray, x: np.ndarray) -> float:
         return np.fft.ifft(spectra[k] * np.fft.fft(v, L))[:size]
 
     def solve(v):
-        v = np.ravel(v)[::-1]
+        v = v[::-1]
         return (lower(0, lower(1, v)[::-1]) - lower(2, lower(3, v)[::-1])) / x[0].real
 
     return _condition(np.max(sums + sums[::-1] - sums[0]), solve, size)
 
 
-def _cholesky_condition(M: np.ndarray, inv: np.ndarray) -> float:
-    """Condition estimate of M = L L^H, applied through inv = L^{-1}."""
-    norm1 = np.max(np.sum(np.abs(M), axis=0))
-    return _condition(norm1, lambda v: inv.conj().T @ (inv @ np.ravel(v)), len(M))
+def _band_condition(L: np.ndarray, M: np.ndarray) -> float:
+    """Condition estimate of M = L L^H from the bands L[i, i-K..i] and M[i-K..i, i], row i each.
+
+    M^{-1} v is one forward substitution with L and one back substitution
+    with L^H, each touching the K + 1 stored entries of a row of L.
+    """
+    size, K = L.shape[0], L.shape[1] - 1
+    absM = np.abs(M)
+    norm1 = absM.sum(axis=1)
+    for s in range(1, K + 1):
+        norm1[: size - s] += absM[s:, K - s]
+    L_conj = np.conj(L)
+
+    def solve(v):
+        y = np.zeros(K + size, dtype=np.complex128)
+        for i in range(size):
+            y[K + i] = (v[i] - L[i, :K] @ y[i : K + i]) / L[i, K]
+        for i in range(size - 1, -1, -1):
+            y[K + i] /= L[i, K]
+            y[i : K + i] -= L_conj[i, :K] * y[K + i]
+        return y[K:]
+
+    return _condition(np.max(norm1), solve, size)
 
 
 def _check_pivot(low: float, trace: float, condition, **diagnostics) -> None:
@@ -163,51 +198,69 @@ def _levinson_orders(f: CoeffSeries, n_max: int):
         yield np.conj(f.coeffs[0] * x), condition
 
 
-def _cholesky_orders(f: CoeffSeries, w: AlphaWeight, n_max: int, block: int):
-    """Kernel sums from one factor M = L L^H: with u = L^{-1} e_0,
-    Q_n = Q_{n-1} + conj(f(0) u_n) (row n of L^{-1}).
+def _banded_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
+    """The Cholesky factor M = L L^H grown one row per order, with x_n = row n of L^{-1}
+    and Q_n = Q_{n-1} + conj(f(0) x_n[0]) x_n.
 
-    The factor is built at order ``block`` and rebuilt at twice the order
-    reached each time the walk outgrows it.
+    With k = min(deg f, n), order n reads the band column
+    M[n-s, n] = sum_u (u+n+1)^alpha conj(f_u) f_{u+s} for s = 0..k, then
+    conj(L[n, n-k:n]) = L^{-1} M[:, n] restricted to those rows, the pivot
+    L_nn^2 = M_nn - |L[n, n-k:n]|^2 and x_n = (e_n - L[n, n-k:n] X) / L_nn.
+    X, the last k rows of L^{-1}, sits in a ring of slots j mod K.  The
+    buffers double when the walk outgrows them, so an open-ended walk
+    holds at most twice the orders it reaches.
     """
+    c = f.coeffs
+    d = len(c) - 1
+    K = min(d, n_max)
+    windows = sliding_window_view(np.concatenate((c, np.zeros(K))), d + 1)
+    X = np.zeros((max(K, 1), 0), dtype=np.complex128)
+    L_band = M_band = np.zeros((0, K + 1), dtype=np.complex128)
     q = np.zeros(0, dtype=np.complex128)
-    low = np.inf
-    top = -1
+    low, trace = np.inf, 0.0
     for n in range(n_max + 1):
-        if n > top:
-            top = min(max(block, 2 * n), n_max)
-            M = gram_matrix(f, top, w).M
-            try:
-                factor = np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                raise IllConditionedError(
-                    "Gram matrix is not numerically positive definite",
-                    condition_estimate=float("inf"),
-                    diagnostics={"n": top, "alpha": w.alpha},
-                )
-            inv = scipy.linalg.solve_triangular(factor, np.eye(top + 1), lower=True)
-            pivots = np.diag(factor).real ** 2
-            trace = np.cumsum(np.diag(M).real)
-        low = min(low, pivots[n])
-        q = np.append(q, 0.0) + np.conj(f.coeffs[0] * inv[n, 0]) * inv[n, : n + 1]
-        condition = partial(_cholesky_condition, M[: n + 1, : n + 1], inv[: n + 1, : n + 1])
-        _check_pivot(low, trace[n], condition, n=n, alpha=w.alpha)
+        k = min(K, n)
+        if n == len(L_band):
+            grow = min(max(n, 64), n_max + 1 - n)
+            X = np.pad(X, ((0, 0), (0, grow)))
+            L_band, M_band = (np.pad(band, ((0, grow), (0, 0))) for band in (L_band, M_band))
+        weighted = np.conj(c) * np.arange(n + 1, n + d + 2, dtype=float) ** w.alpha
+        column = np.einsum("su,u->s", windows[: k + 1], weighted)[::-1]
+        M_band[n, K - k :] = column
+        slots = X[:, n - k : n] @ column[:k]  # conj(L[n, j]) in slot j mod K
+        pivot = column[k].real - np.vdot(slots, slots).real
+        if not pivot > 0.0:
+            raise IllConditionedError(
+                "Gram matrix is not numerically positive definite",
+                condition_estimate=float("inf"),
+                diagnostics={"n": n, "alpha": w.alpha},
+            )
+        L_band[n, K - k : K] = np.conj(slots[np.arange(n - k, n) % len(X)])
+        L_band[n, K] = np.sqrt(pivot)
+        x = -(np.conj(slots) @ X[:, : n + 1])
+        x[n] += 1.0
+        x /= L_band[n, K]
+        X[n % len(X), : n + 1] = x
+        low, trace = min(low, pivot), trace + column[k].real
+        q = np.append(q, 0.0) + np.conj(c[0] * x[0]) * x
+        condition = partial(_band_condition, L_band[: n + 1], M_band[: n + 1])
+        _check_pivot(low, trace, condition, n=n, alpha=w.alpha)
         yield q, condition
 
 
-def _opa_orders(f: CoeffSeries, w: AlphaWeight, n_max: int, block: int | None = None):
+def _opa_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
     """Yield (coefficients of Q_n, condition) for n = 0..n_max from one walk.
 
     ``condition()`` returns the 1-norm condition estimate of the order-n
-    Gram matrix at the cost of a few solves.  At alpha > 0 the first
-    factor has order ``block`` (default n_max), so an open-ended walk
-    builds no more than it reaches.  Raises IllConditionedError at the
+    Gram matrix at the cost of a few solves.  Up to order n, the walk
+    takes O(n) time per order and keeps O(n) numbers at alpha = 0, and
+    O(n deg f) of each at alpha > 0.  Raises IllConditionedError at the
     first order that fails the pivot check.
     """
     _validate_f(f, n_max)
     if w.alpha == 0.0:
         return _levinson_orders(f, n_max)
-    return _cholesky_orders(f, w, n_max, n_max if block is None else block)
+    return _banded_orders(f, w, n_max)
 
 
 def _residual(Q: CoeffSeries, f: CoeffSeries, w: AlphaWeight) -> float:
@@ -220,18 +273,12 @@ def opa_solve(f: CoeffSeries, n: int, w: AlphaWeight) -> OpaResult:
 
     The residual ||Q f - 1|| is measured directly from the product and is
     cross-checkable against the projection identity 1 - Re(a_0 f(0)).
-    condition_estimate is ||M_n||_1 times a onenormest of ||M_n^{-1}||_1.
+    condition_estimate is ||M_n||_1 times a Hager estimate of ||M_n^{-1}||_1.
     """
     for coeffs, condition in _opa_orders(f, w, n):
         pass
     Q = CoeffSeries(coeffs, 0.0)
     return OpaResult(Q, _residual(Q, f, w), condition(), n)
-
-
-def residual_projection(result: OpaResult, f: CoeffSeries) -> float:
-    """Residual via the projection identity sqrt(1 - Re(a_0 f(0)))."""
-    val = 1.0 - (result.Q.coeffs[0] * f.coeffs[0]).real
-    return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
 def convergence_profile(

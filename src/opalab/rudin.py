@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .boundary import TWO_PI, BoundarySet, circle_gap
 from .errors import (
@@ -467,8 +466,8 @@ def equilibrium_measure(arcs: BoundarySet, nodes_per_arc: int) -> DiscreteMeasur
     so w = y / sum(y) with A y = 1 is the minimizer when all its entries
     are positive.  A may be indefinite (it is on the full circle); adding
     a constant c to every entry adds exactly c to the energy on the
-    simplex, so one Cholesky solve on A + c gives the same w.  A failed
-    factor or a pivot under opa's PIVOT_RTOL rule raises
+    simplex, so one solve with A + c gives the same w.  A failed Cholesky
+    factor of A + c or a pivot under opa's PIVOT_RTOL rule raises
     IllConditionedError, and a nonpositive weight ConstructionError.
 
     The capacity estimate is biased upward: an arc of half-angle hw has
@@ -508,7 +507,7 @@ def equilibrium_measure(arcs: BoundarySet, nodes_per_arc: int) -> DiscreteMeasur
 
     shifted = (1.0 + np.max(np.abs(K_opt))) - K_opt
     try:
-        factor = scipy.linalg.cho_factor(shifted)
+        factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         raise IllConditionedError(
             "shifted energy matrix is not numerically positive definite",
@@ -516,9 +515,9 @@ def equilibrium_measure(arcs: BoundarySet, nodes_per_arc: int) -> DiscreteMeasur
             diagnostics={"nodes": n},
         )
 
-    solve = partial(scipy.linalg.cho_solve, factor)
+    solve = partial(np.linalg.solve, shifted)
     condition = partial(_condition, np.max(np.sum(np.abs(shifted), axis=0)), solve, n)
-    _check_pivot(np.min(np.diag(factor[0])) ** 2, np.trace(shifted), condition, nodes=n)
+    _check_pivot(np.min(np.diag(factor)) ** 2, np.trace(shifted), condition, nodes=n)
     y = solve(np.ones(n))
     w = y / np.sum(y)
     if not np.min(w) > 0.0:

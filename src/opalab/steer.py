@@ -30,7 +30,6 @@ from .spaces import AlphaWeight, norm_alpha
 from .zerofree import _normalize_targets, _padded_sum, _space_alpha, simultaneous_zero_free
 
 M_SEARCH_CAP = 16384
-SEARCH_BLOCK = 64
 DELTA_ROUNDS = 6
 F_TRUNCATION = 512
 
@@ -67,7 +66,7 @@ def opa_search_m(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWei
     refs = _normalize_targets(target, E)
     thetas = np.asarray(E.points)
     powers = np.ones((len(thetas), 0))
-    for m, (coeffs, _) in enumerate(_opa_orders(P, w, M_SEARCH_CAP, block=SEARCH_BLOCK)):
+    for m, (coeffs, _) in enumerate(_opa_orders(P, w, M_SEARCH_CAP)):
         if m == powers.shape[1]:
             powers = np.exp(1j * np.outer(thetas, np.arange(2 * m + 1)))
         if np.max(np.abs(powers[:, : m + 1] @ coeffs - refs)) < tol:

@@ -28,7 +28,6 @@ from opalab import (
     opa_search_m,
     opa_solve,
 )
-from opalab.opa import residual_projection
 
 H2 = AlphaWeight(0.0)
 DIR = AlphaWeight(1.0)
@@ -63,6 +62,12 @@ def normal_equations_oracle(f_coeffs, n, alpha):
 def oracle_gram(f_coeffs, n, alpha):
     design, _ = weighted_design(f_coeffs, n, alpha)
     return design.conj().T @ design
+
+
+def residual_projection(result, f):
+    """Residual via the projection identity sqrt(1 - Re(a_0 f(0)))."""
+    val = 1.0 - (result.Q.coeffs[0] * f.coeffs[0]).real
+    return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
 def closed_form_reciprocal_of_one_minus_z(n):
@@ -243,9 +248,32 @@ def test_condition_estimate_tracks_the_reference_gram():
         want = np.linalg.cond(gram)
         got = opa_solve(CoeffSeries(c), n, AlphaWeight(alpha)).condition_estimate
         assert want / (10 * (n + 1)) <= got <= want * 10 * (n + 1)
-        # onenormest bounds ||M^{-1}||_1 from below, so the estimate cannot
-        # exceed the exact 1-norm condition number beyond rounding
+        # Hager's method bounds ||M^{-1}||_1 from below, so the estimate
+        # cannot exceed the exact 1-norm condition number beyond rounding
         assert got <= np.linalg.cond(gram, 1) * 1.001
+
+
+def test_condition_estimate_is_attained_by_a_probe_vector():
+    # The estimate is ||M||_1 ||M^{-1} v||_1 / ||v||_1 for one probe v: the
+    # vector of ones, a unit vector, or the alternating-sign vector weighted
+    # by 2/3.  A wrong solve or a wrong ||M||_1 moves it off every candidate.
+    rng = np.random.default_rng(58)
+    for alpha in (0.0, 0.5, 1.0):
+        for _ in range(8):
+            c = random_poly(rng, int(rng.integers(1, 9))).coeffs
+            n = int(rng.integers(0, 33))
+            gram = oracle_gram(c, n, alpha)
+            inv = np.linalg.inv(gram)
+            i = np.arange(n + 1)
+            alternating = (-1.0) ** i * (1.0 + i / max(n, 1))
+            candidates = np.concatenate((
+                np.sum(np.abs(inv), axis=0),
+                [np.sum(np.abs(inv.sum(axis=1))) / (n + 1),
+                 2.0 * np.sum(np.abs(inv @ alternating)) / (3.0 * (n + 1))],
+            ))
+            got = opa_solve(CoeffSeries(c), n, AlphaWeight(alpha)).condition_estimate
+            got /= np.linalg.norm(gram, 1)
+            assert np.min(np.abs(candidates - got)) <= 1e-9 * got
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -273,17 +301,19 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_hardy_walks_allocate_no_gram_matrix():
-    # One (n+1) x (n+1) complex matrix takes 16 (n+1)^2 bytes; at alpha = 0
-    # the walks over the orders stay linear in the order.
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_walks_allocate_no_gram_matrix(alpha):
+    # One (n+1) x (n+1) complex matrix takes 16 (n+1)^2 bytes; for this f
+    # the walks over the orders stay linear in the order at every alpha.
     f = CoeffSeries([1.0, -0.99])
+    w = AlphaWeight(alpha)
     n = 2048
     probes = BoundarySet.from_points([0.0, 1.0])
-    for call in (lambda: opa_solve(f, n, H2), lambda: convergence_profile(f, n, H2, probes, [0.5])):
+    for call in (lambda: opa_solve(f, n, w), lambda: convergence_profile(f, n, w, probes, [0.5])):
         _, peak = _peak_bytes(call)
         assert peak < (n + 1) ** 2
     E = BoundarySet.from_points([0.0])
-    m, peak = _peak_bytes(lambda: opa_search_m(f, [100.0], E, 1e-3, H2))
+    m, peak = _peak_bytes(lambda: opa_search_m(f, [100.0], E, 1e-3, w))
     assert m > 1000 and peak < (m + 1) ** 2
 
 
