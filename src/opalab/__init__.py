@@ -9,13 +9,7 @@ artifacts.
 """
 
 from .blaschke import InnerOuterFactorization, blaschke_series, polynomial_inner_outer
-from .boundary import (
-    BoundarySet,
-    PiecewisePartition,
-    neighborhood,
-    piecewise_partition,
-    sup_on_set,
-)
+from .boundary import BoundarySet, neighborhood
 from .errors import (
     ApproximationBudgetError,
     BoundaryRootError,

@@ -1,26 +1,25 @@
 """Closed subsets of the unit circle built from points and arcs.
 
 Angles are radians, normalized to [0, 2*pi).  Arcs are (center, half_width)
-pairs and get merged circularly on construction.  These sets stand in for
-the peak sets, their open neighborhoods, and the sampling grids that the
-rest of the library certifies suprema on.
+pairs and get merged circularly on construction, across the seam at angle 0
+too.  Finite point sets are the peak sets E and the target sets of the
+zero-free and steering pipelines; arcs are the neighborhoods U of E, the
+arc sets whose equilibrium measures rudin computes, and, sampled, the
+probe grids of the OPA convergence profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, ResolutionExceededError
-from .series import CoeffSeries, evaluate
+from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * np.pi
 
 # 4096 samples on the full circle by default.
 DEFAULT_SAMPLE_DENSITY = 4096.0 / TWO_PI
-
-PARTITION_ARC_CAP = 4096
 
 
 def normalize_angle(theta: float) -> float:
@@ -39,7 +38,6 @@ def circle_gap(a: float, b: float) -> float:
 def _merge_arcs(arcs) -> tuple:
     """Normalize and circularly merge overlapping arcs."""
     iv = []
-    total = 0.0
     for center, hw in arcs:
         hw = float(hw)
         if not np.isfinite(hw) or hw <= 0.0:
@@ -48,11 +46,8 @@ def _merge_arcs(arcs) -> tuple:
             return ((0.0, np.pi),)
         c = normalize_angle(center)
         iv.append((c - hw, c + hw))
-        total += 2.0 * hw
     if not iv:
         return ()
-    if total >= TWO_PI:
-        return ((0.0, np.pi),)
     iv.sort()
     merged = [list(iv[0])]
     for lo, hi in iv[1:]:
@@ -60,10 +55,13 @@ def _merge_arcs(arcs) -> tuple:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    # wraparound: the last interval may reach past 2*pi into the first
-    if len(merged) > 1 and merged[-1][1] >= merged[0][0] + TWO_PI:
-        merged[0][0] = merged[-1][0] - TWO_PI
-        merged.pop()
+    # wraparound: trailing intervals may reach past 2*pi into the first, and
+    # the first, so widened, into the intervals after it
+    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + TWO_PI:
+        lo, hi = merged.pop()
+        merged[0] = [min(merged[0][0], lo - TWO_PI), max(merged[0][1], hi - TWO_PI)]
+        while len(merged) > 1 and merged[1][0] <= merged[0][1]:
+            merged[0][1] = max(merged[0][1], merged.pop(1)[1])
     if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI:
         return ((0.0, np.pi),)
     out = []
@@ -112,19 +110,6 @@ class BoundarySet:
     def is_full_circle(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][1] >= np.pi - 1e-12
 
-    def arc_sample_spacing(self) -> float:
-        """Largest spacing between adjacent samples inside any arc (0 if none)."""
-        worst = 0.0
-        for _, hw in self.arcs:
-            if self.is_full_circle:
-                G = max(4, int(round(TWO_PI * self.sample_density)))
-                worst = max(worst, TWO_PI / G)
-            else:
-                length = 2.0 * hw
-                n_s = max(2, int(np.ceil(length * self.sample_density)) + 1)
-                worst = max(worst, length / (n_s - 1))
-        return worst
-
     def samples(self) -> np.ndarray:
         """Sorted sample angles: the points plus density-driven arc grids."""
         chunks = [np.asarray(self.points, dtype=float)]
@@ -140,19 +125,6 @@ class BoundarySet:
         return np.unique(allpts)
 
 
-@dataclass(frozen=True)
-class PiecewisePartition:
-    """Disjoint pieces of a boundary set with one log-value per piece.
-
-    ``pieces`` holds (piece, v) pairs where the piece is a point-only
-    BoundarySet and exp(v) approximates the supplied ratio there within
-    ``epsilon`` at every sample.
-    """
-
-    pieces: tuple
-    epsilon: float
-
-
 def neighborhood(E: BoundarySet, width: float) -> BoundarySet:
     """Open arc neighborhood of ``E`` of the given angular half-width."""
     width = float(width)
@@ -164,86 +136,3 @@ def neighborhood(E: BoundarySet, width: float) -> BoundarySet:
         return BoundarySet(sample_density=E.sample_density)
     return BoundarySet(arcs=tuple(arcs), sample_density=E.sample_density)
 
-
-def sup_on_set(a: CoeffSeries, E: BoundarySet) -> float:
-    """Upper bound for sup over ``E`` of |a| (stored polynomial part).
-
-    Point sets are evaluated exactly.  Arc samples add a Lipschitz
-    correction L * dtheta with L = sum k |a_k|, so the result upper-bounds
-    the true supremum of the stored polynomial.
-    """
-    if E.is_empty:
-        raise InvalidInputError("cannot take a supremum over an empty boundary set")
-    vals = np.abs(evaluate(a, np.exp(1j * E.samples())))
-    base = float(vals.max())
-    spacing = E.arc_sample_spacing()
-    if spacing > 0.0:
-        L = float(np.sum(np.arange(len(a.coeffs)) * np.abs(a.coeffs)))
-        base += L * spacing
-    return base
-
-
-def piecewise_partition(ratio_values: dict, E: BoundarySet, eps: float) -> PiecewisePartition:
-    """Split sampled ratio values into pieces with near-constant ratio.
-
-    ``ratio_values`` maps sample angles to nonzero complex ratios.  The
-    circle is cut into k equal arcs (k doubling from 4), arc endpoints are
-    nudged off the samples, and each nonempty piece gets v = Log(ratio at a
-    representative).  Pieces are accepted once |ratio - exp(v)| < eps on
-    all of their samples; otherwise k doubles up to PARTITION_ARC_CAP.
-    """
-    if eps <= 0.0:
-        raise InvalidParameterError("eps must be positive")
-    if not ratio_values:
-        raise InvalidInputError("ratio_values must be nonempty")
-    angles = []
-    ratios = []
-    for t, v in sorted((normalize_angle(t), complex(v)) for t, v in ratio_values.items()):
-        if abs(v) < 1e-300:
-            raise InvalidInputError("ratio values must be nonzero")
-        angles.append(t)
-        ratios.append(v)
-    angles = np.asarray(angles)
-    ratios = np.asarray(ratios, dtype=np.complex128)
-
-    worst_overall = np.inf
-    k = 4
-    while k <= PARTITION_ARC_CAP:
-        bounds = []
-        for j in range(k):
-            b = TWO_PI * j / k
-            gaps = (angles - b) % TWO_PI
-            if gaps.size and (gaps.min() < 1e-9 or gaps.max() > TWO_PI - 1e-9):
-                ahead = gaps[gaps >= 1e-9]
-                gap_ccw = float(ahead.min()) if ahead.size else TWO_PI
-                b += min(0.5 * gap_ccw, np.pi / (2 * k))
-            bounds.append(b)
-        bounds = np.asarray(bounds)
-        idx = np.searchsorted(bounds, angles, side="right") - 1
-        idx %= k
-
-        pieces = []
-        deviations = []
-        ok = True
-        for piece_id in range(k):
-            mask = idx == piece_id
-            if not np.any(mask):
-                continue
-            v = np.log(ratios[mask][0])
-            dev = float(np.max(np.abs(ratios[mask] - np.exp(v))))
-            if dev >= eps:
-                ok = False
-                worst_overall = min(worst_overall, dev)
-                break
-            piece = BoundarySet(points=tuple(angles[mask]), sample_density=E.sample_density)
-            pieces.append((piece, complex(v)))
-            deviations.append(dev)
-        if ok:
-            pieces.sort(key=lambda pv: pv[0].points[0])
-            achieved = max(deviations) if deviations else 0.0
-            return PiecewisePartition(tuple(pieces), achieved)
-        k *= 2
-    raise ResolutionExceededError(
-        "piecewise partition could not reach the requested deviation",
-        {"arc_cap": PARTITION_ARC_CAP, "worst_piece_deviation": worst_overall, "eps": eps},
-    )

@@ -48,7 +48,7 @@ class BudgetError(OpalabError):
 
 
 class ResolutionExceededError(BudgetError):
-    """A grid or partition refinement hit its cap without resolving."""
+    """A grid refinement hit its cap without resolving."""
 
 
 class ApproximationBudgetError(BudgetError):

@@ -4,15 +4,11 @@ The construction runs boundary-first: a nonnegative profile u concentrated
 on the peak set, its analytic completion F = u + i (conjugate of u), and
 the peak function h = 1 - exp(-F).  Nonnegativity of u keeps |exp(-F)| at
 most 1 on the closed disc, which is what makes the certified sup bound 2
-possible at all.  Two profile families are provided:
+possible at all.  The profile is a sum of compactly supported smooth bumps,
+one per peak point, vanishing off the requested neighborhood exactly; small
+masses need fine grids, so the grid refines until the certificate holds.
 
-* "bump": compactly supported smooth bumps, vanishing off the requested
-  neighborhood exactly; needs fine grids for small masses.
-* "poisson": Poisson-kernel peaks whose completion is a closed-form
-  geometric series; supports hard degree budgets, at the price of profile
-  tails that only decay (rather than vanish) off the neighborhood.
-
-Profiles are always smoothed by a triangular (Fejer) spectral damping
+The profile is smoothed by a triangular (Fejer) spectral damping
 before completion: sharp truncation of a narrow peak rings negative and
 destroys the sup certificate, while the damped profile stays nonnegative
 and is itself a trigonometric polynomial, so its completion is exact.
@@ -47,6 +43,7 @@ CERT_RADII = (0.5, 0.9, 0.99)
 SUP_BOUND_TOL = 1e-6
 PEAK_DEV_GRID_TOL = 1e-4
 RIPPLE_MIN_DEGREE = 4096
+DIRICHLET_DEGREE = 2048
 
 
 def _bump_phi(t: np.ndarray) -> np.ndarray:
@@ -234,13 +231,6 @@ def _exp_within_ripple(F: CoeffSeries, grid_log2: int, ripple: float):
     return CoeffSeries([1.0]) - CoeffSeries(e.coeffs[: degree + 1], h_tail)
 
 
-def _peak_function_from_profile(u: BoundaryFunction, N: int, degree: int):
-    """Damped completion F and h = 1 - exp(-F) truncated at ``degree``."""
-    damped = fejer_mean(u, N)
-    F = analytic_completion(damped, N)
-    return F, CoeffSeries([1.0]) - exp_series(-F, degree, u.grid_log2)
-
-
 def _values_at_angles(a: CoeffSeries, angles: np.ndarray) -> np.ndarray:
     """Direct evaluation at unit-circle angles; fast for few points, any degree."""
     k = np.arange(len(a.coeffs))
@@ -302,19 +292,14 @@ def hardy_rudin(
     U: BoundarySet,
     eps: float,
     peak: float,
-    profile: str = "bump",
-    grid_log2: int = CERT_GRID_LOG2,
-    max_degree: int | None = None,
-    mass_target: float | None = None,
 ) -> RudinFunction:
     """Peak function with certified bounds: |h| <= 2, |h| < eps off U, h near 1 on E.
 
     The profile mass delta is derived from the chord distance between the
     off-neighborhood region and the peaks so that exp(mass bound) - 1 stays
-    under eps with a factor-2 safety margin; ``mass_target`` overrides it.
-    The "bump" profile auto-refines its grid (two certification retries,
-    grid capped at 2**20).  The "poisson" profile honors ``max_degree`` as
-    a hard degree budget and fails construction rather than exceed it.
+    under eps with a factor-2 safety margin.  The bump grid starts at
+    2**CERT_GRID_LOG2 and refines by a factor 4 per failure, with two
+    certification retries and the grid capped at 2**GRID_CAP_LOG2.
     """
     if eps <= 0.0 or peak <= 0.0:
         raise InvalidParameterError("eps and peak must be positive")
@@ -323,18 +308,13 @@ def hardy_rudin(
         return _trivial_peak(E, U, dirichlet=False)
     margin = _containing_arc_margin(E, U)
     dist = 2.0 * np.sin(min(margin, np.pi) / 2.0)
-    delta = mass_target if mass_target is not None else 0.25 * dist * (-np.log1p(-min(eps, 0.999)))
+    delta = 0.25 * dist * (-np.log1p(-min(eps, 0.999)))
 
     target_dev = np.exp(-peak) + PEAK_DEV_GRID_TOL
     slack = peak + np.log(target_dev)
     m_req = -np.log(target_dev) + 0.5 * min(slack, 1.4)
 
-    if profile == "poisson":
-        return _poisson_peak(E, U, eps, peak, delta, max_degree or 2048, grid_log2)
-    if profile != "bump":
-        raise InvalidParameterError("profile must be 'bump' or 'poisson'")
-
-    q = grid_log2
+    q = CERT_GRID_LOG2
     tries = 0
     diag = {}
     best_peak = -np.inf
@@ -395,65 +375,6 @@ def hardy_rudin(
         tries += 1
         q += 2
     raise ConstructionError("peak function certification failed within grid budget", diag)
-
-
-def _poisson_damped_gain(x: float, degree: int) -> float:
-    """Damped peak multiplier s(rho) = 1 + 2 sum rho^k (1 - k/(D+1)) at rho = 1-x."""
-    rho = 1.0 - x
-    k = np.arange(1, degree + 1, dtype=float)
-    return float(1.0 + 2.0 * np.sum(rho**k * (1.0 - k / (degree + 1.0))))
-
-
-def _poisson_peak(
-    E: BoundarySet,
-    U: BoundarySet,
-    eps: float,
-    peak: float,
-    delta: float,
-    degree: int,
-    grid_log2: int,
-) -> RudinFunction:
-    """Poisson-kernel peaks with the kernel width solved from the mass budget."""
-    mass_allow = 0.9 * delta
-    gain_req = max(len(E.points) * peak / mass_allow, 1.2)
-    if gain_req > degree + 0.5:
-        raise ConstructionError(
-            "degree budget cannot carry the requested peak at this mass",
-            {"required_gain": gain_req, "degree": degree},
-        )
-    lo, hi = 1e-12, 0.999999
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _poisson_damped_gain(mid, degree) > gain_req:
-            lo = mid
-        else:
-            hi = mid
-    x = lo
-    rho = 1.0 - x
-    height = peak / _poisson_damped_gain(x, degree)
-
-    q = max(grid_log2, int(4 * degree - 1).bit_length(), CERT_GRID_LOG2)
-    G = 1 << q
-    theta = np.arange(G) * (TWO_PI / G)
-    u = np.zeros(G)
-    for p in E.points:
-        d = theta - p
-        u += height * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(d) + rho * rho)
-    bf = BoundaryFunction(u, q)
-    F, h = _peak_function_from_profile(bf, degree, degree)
-    cert = _certify(h, E, U)
-    if cert.sup_bound > 2.0 + SUP_BOUND_TOL or cert.off_neighborhood_sup >= eps:
-        raise ConstructionError(
-            "poisson peak failed certification at this degree",
-            {
-                "sup_bound": cert.sup_bound,
-                "off_neighborhood_sup": cert.off_neighborhood_sup,
-                "peak_deviation": cert.peak_deviation,
-                "degree": degree,
-                "kernel_width": x,
-            },
-        )
-    return RudinFunction(F, h, E, U, cert)
 
 
 def equilibrium_measure(arcs: BoundarySet, nodes_per_arc: int) -> DiscreteMeasure:
@@ -538,13 +459,12 @@ def dirichlet_rudin(
     eps: float,
     levels: int = 4,
     nodes_per_arc: int = 64,
-    truncation_degree: int = 2048,
 ) -> RudinFunction:
     """Peak function with certified Dirichlet energy at most eps.
 
     Builds F as a capacity-weighted sum of equilibrium potentials of
     nested arc neighborhoods of E (widths shrinking by 4 per level), with
-    h = 1 - exp(-F).  The energy certificate is the coefficient formula
+    F and h = 1 - exp(-F) truncated at degree DIRICHLET_DEGREE.  The energy certificate is the coefficient formula
     applied to h directly.  When the certificate or the off-neighborhood
     bound fails, the first-level width shrinks by 4 and the construction
     retries, up to 12 attempts.
@@ -558,7 +478,7 @@ def dirichlet_rudin(
         return _trivial_peak(E, U, dirichlet=True)
     w1 = 0.5 * _containing_arc_margin(E, U)
 
-    N = truncation_degree
+    N = DIRICHLET_DEGREE
     ks = np.arange(1, N + 1)
     diag = {}
     for _ in range(12):

@@ -6,7 +6,10 @@ closed disc, with ||P - g|| < eps in the chosen space and |P - target| < eps
 at every point of E.  The multiplier is Phi = exp(F) where F collects one
 analytic needle per point, each with damped boundary peak exactly 1, so
 P = g_r * Phi hits target_j = g_r(zeta_j) * exp(v_j) while moving g_r very
-little in norm.
+little in norm.  Each point gets its own log, v_j = Log(target_j / g_r(zeta_j))
+on the principal branch: the paper cuts a general closed null set E into
+pieces of near-constant ratio, and for the finite E accepted here every
+piece is one point.
 
 Each needle is fitted, not fixed.  Closed-form profiles (Gaussian, tent,
 Poisson, outer-kernel quotients) all waste norm through the same channel:
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundarySet, piecewise_partition
+from .boundary import BoundarySet
 from .errors import (
     ApproximationBudgetError,
     InvalidInputError,
@@ -364,19 +367,8 @@ def simultaneous_zero_free(
         )
 
     r, g_r = _select_dilation(g, eps, w)
-    g_r_vals = evaluate(g_r, zs)
-    sup_g_r = float(np.max(np.abs(eval_on_circle_grid(g_r, 12))))
-    ratios = targets / g_r_vals
-    partition = piecewise_partition(
-        {float(t): ratios[i] for i, t in enumerate(E.points)},
-        E,
-        eps / (4.0 * max(sup_g_r, 1e-30)),
-    )
-
-    point_vs = []
-    for piece, v in partition.pieces:
-        for p in piece.points:
-            point_vs.append((float(p), complex(v)))
+    ratios = targets / evaluate(g_r, zs)
+    point_vs = [(float(p), complex(np.log(ratios[i]))) for i, p in enumerate(E.points)]
 
     if all(abs(v) <= TRIVIAL_RATIO_TOL for _, v in point_vs):
         P = CoeffSeries(g_r.coeffs, 0.0)

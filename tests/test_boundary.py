@@ -1,26 +1,15 @@
-"""Boundary sets, neighborhoods, sup norms and the piecewise log reduction.
+"""Boundary sets: angle primitives, neighborhoods and circular arc merging.
 
-The partition tests lean on cmath's principal logarithm as the reference:
-whatever v the partition assigns to a piece must satisfy exp(v) = ratio
-there, and for the pinned two-point case the v values themselves are the
-principal logs.
+Arc merging is checked against a grid-free membership test on the raw
+input arcs, including unions that reach across the seam at angle 0.
 """
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from opalab import (
-    BoundarySet,
-    CoeffSeries,
-    InvalidInputError,
-    InvalidParameterError,
-    neighborhood,
-    piecewise_partition,
-    sup_on_set,
-)
+from opalab import BoundarySet, InvalidParameterError, neighborhood
 from opalab.boundary import circle_gap, normalize_angle
 
 TWO_PI = 2.0 * math.pi
@@ -94,114 +83,6 @@ def test_neighborhood_rejects_nonpositive_width():
             neighborhood(E, w)
 
 
-# ------------------------------------------------------------- sup_on_set
-
-def test_sup_of_z_on_two_points_is_one():
-    E = BoundarySet.from_points([0.0, math.pi / 2])
-    assert sup_on_set(CoeffSeries([0.0, 1.0]), E) == pytest.approx(1.0)
-
-
-def test_sup_of_one_minus_z_at_the_root_and_opposite():
-    f = CoeffSeries([1.0, -1.0])
-    assert sup_on_set(f, BoundarySet.from_points([0.0])) == pytest.approx(0.0, abs=1e-14)
-    assert sup_on_set(f, BoundarySet.from_points([math.pi])) == pytest.approx(2.0)
-
-
-def test_sup_grows_under_union():
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        a = CoeffSeries(rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))
-        p1 = rng.uniform(0, TWO_PI, 3)
-        p2 = rng.uniform(0, TWO_PI, 3)
-        s1 = sup_on_set(a, BoundarySet.from_points(p1))
-        s12 = sup_on_set(a, BoundarySet.from_points(np.concatenate([p1, p2])))
-        assert s1 <= s12 + 1e-14
-
-
-def test_sup_on_arc_upper_bounds_true_supremum():
-    # The Lipschitz correction must make the reported value an upper bound
-    # for the exact sup over the arc, here computable in closed form.
-    E = BoundarySet(arcs=((0.0, 0.3),), sample_density=40.0)
-    reported = sup_on_set(CoeffSeries([1.0, 1.0]), E)
-    assert reported >= 2.0 - 1e-12          # |1 + z| peaks at z = 1
-    assert reported <= 2.0 + 0.2            # and the padding stays modest
-
-
-def test_sup_rejects_empty_set():
-    with pytest.raises(InvalidInputError):
-        sup_on_set(CoeffSeries([1.0]), BoundarySet())
-
-
-# ----------------------------------------------------- piecewise_partition
-
-def test_partition_two_point_log_values():
-    E = BoundarySet.from_points([0.0, math.pi])
-    ratios = {0.0: 2.0 + 0j, math.pi: -1.0 + 0j}
-    part = piecewise_partition(ratios, E, 0.1)
-    assert len(part.pieces) == 2
-    got = {}
-    for piece, v in part.pieces:
-        assert len(piece.points) == 1
-        got[round(piece.points[0], 9)] = v
-    assert got[0.0] == pytest.approx(cmath.log(2.0 + 0j))      # ln 2
-    assert got[round(math.pi, 9)] == pytest.approx(cmath.log(-1.0 + 0j))  # i pi
-    assert part.epsilon <= 0.1
-
-
-def test_partition_constant_ratio_gives_zero_logs():
-    E = BoundarySet.from_points([0.3, 1.7, 4.0])
-    part = piecewise_partition({t: 1.0 for t in E.points}, E, 0.05)
-    for _, v in part.pieces:
-        assert abs(v) < 1e-12
-
-
-def test_partition_single_point_ratio_e():
-    E = BoundarySet.from_points([1.0])
-    part = piecewise_partition({1.0: math.e}, E, 0.01)
-    assert len(part.pieces) == 1
-    assert part.pieces[0][1] == pytest.approx(1.0)
-
-
-def test_partition_pieces_cover_input_and_stay_disjoint():
-    rng = np.random.default_rng(33)
-    angles = np.sort(rng.uniform(0, TWO_PI, 12))
-    ratios = {t: cmath.exp(0.4 * math.cos(t) + 0.2j * math.sin(t)) for t in angles}
-    part = piecewise_partition(ratios, BoundarySet.from_points(angles), 0.05)
-    seen = []
-    for piece, v in part.pieces:
-        for p in piece.points:
-            assert abs(ratios[min(ratios, key=lambda t: circle_gap(t, p))] - cmath.exp(v)) < 0.05
-            seen.append(round(p, 12))
-    assert sorted(seen) == sorted(round(normalize_angle(t), 12) for t in angles)
-    assert len(seen) == len(set(seen))
-
-
-def test_partition_certificate_survives_finer_sampling():
-    # Rebuild the generating ratio on a 4x denser sample of each piece's
-    # angular hull; the per-piece log must still track it within 2 eps.
-    rng = np.random.default_rng(34)
-    ratio = lambda t: cmath.exp(0.3 * math.cos(t) + 0.1j * math.sin(2 * t))
-    angles = np.sort(rng.uniform(0, TWO_PI, 48))
-    eps = 0.05
-    part = piecewise_partition({t: ratio(t) for t in angles}, BoundarySet.from_points(angles), eps)
-    for piece, v in part.pieces:
-        pts = np.sort(piece.points)
-        lo, hi = pts[0], pts[-1]
-        fine = np.linspace(lo, hi, 4 * max(len(pts), 2))
-        for t in fine:
-            assert abs(ratio(t) - cmath.exp(v)) < 2 * eps
-
-
-def test_partition_rejects_zero_ratio_and_bad_eps():
-    E = BoundarySet.from_points([0.0])
-    with pytest.raises(InvalidInputError):
-        piecewise_partition({0.0: 0.0}, E, 0.1)
-    with pytest.raises(InvalidParameterError):
-        piecewise_partition({0.0: 1.0}, E, 0.0)
-    with pytest.raises(InvalidInputError):
-        piecewise_partition({}, E, 0.1)
-
-
 # --------------------------------------------------------- BoundarySet type
 
 def test_positive_measure_flag_and_full_circle():
@@ -215,3 +96,34 @@ def test_positive_measure_flag_and_full_circle():
 def test_arcs_merge_on_construction():
     S = BoundarySet(arcs=((0.0, 0.3), (0.25, 0.3)))
     assert len(S.arcs) == 1
+
+
+def test_arc_reaching_across_the_seam_absorbs_the_first_arc():
+    # (6.25, 0.25) covers (0.1, 0.2) = the arc (0.15, 0.05) past 2*pi
+    S = BoundarySet(arcs=((0.15, 0.05), (6.25, 0.25)))
+    assert len(S.arcs) == 1
+    assert S.arcs[0] == pytest.approx((6.25, 0.25), abs=1e-12)
+
+
+def test_arc_across_the_seam_absorbs_every_arc_it_reaches():
+    S = BoundarySet(arcs=((0.15, 0.05), (0.275, 0.025), (6.2, 0.4)))
+    assert len(S.arcs) == 1
+    assert S.arcs[0] == pytest.approx((6.2, 0.4), abs=1e-12)
+
+
+def test_arc_centred_on_the_seam_passes_through_unchanged():
+    assert BoundarySet(arcs=((0.0, 0.3),)).arcs == ((0.0, 0.3),)
+
+
+def test_merged_arcs_cover_exactly_the_union_of_the_input():
+    rng = np.random.default_rng(35)
+    thetas = np.linspace(0, TWO_PI, 2000, endpoint=False)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        arcs = tuple(zip(rng.uniform(0, TWO_PI, n), rng.uniform(0.01, 1.5, n)))
+        S = BoundarySet(arcs=arcs)
+        for t in thetas:
+            gaps = [circle_gap(c, t) - hw for c, hw in arcs]
+            if min(abs(d) for d in gaps) < 1e-9:
+                continue              # too close to an input endpoint to call
+            assert contains_angle(S, t) == (min(gaps) <= 0.0)

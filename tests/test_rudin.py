@@ -209,15 +209,6 @@ def test_hardy_peak_deviation_improves_with_height():
     assert hi.certified.peak_deviation < lo.certified.peak_deviation
 
 
-def test_hardy_peak_poisson_profile_variant():
-    rf = hardy_rudin(E0, neighborhood(E0, 0.3), 0.3, 4.0, profile="poisson", max_degree=2048)
-    assert rf.certified.sup_bound <= 2.0 + 1e-6
-    assert rf.certified.off_neighborhood_sup < 0.3
-    assert len(rf.h.coeffs) <= 2049
-    with pytest.raises(InvalidParameterError):
-        hardy_rudin(E0, neighborhood(E0, 0.3), 0.3, 4.0, profile="wavelet")
-
-
 def test_hardy_peak_rejects_bad_domains():
     with pytest.raises(InvalidInputError):
         hardy_rudin(BoundarySet(arcs=((0.0, 0.2),)), BoundarySet.full_circle(), 0.05, 12.0)

@@ -5,6 +5,7 @@ checked here on random polynomials by brute-force convolution, entirely
 outside the library's own bookkeeping.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -309,6 +310,31 @@ def test_small_shift_of_a_linear_polynomial():
     # the reported boundary error is exactly the worst pointwise miss
     miss = abs(evaluate(res.P, 1.0) - target)
     assert res.boundary_error == pytest.approx(miss, abs=1e-12)
+
+
+def test_each_point_gets_its_own_log(monkeypatch):
+    # The three ratios lie within the tolerance of one another, so a
+    # partition of E into near-constant pieces could share one log among
+    # them; each needle must instead carry the log of its own point.
+    targets = {0.2: 1.4, 0.5: 1.405, 1.0: 1.41}
+    seen = []
+    real_needle = zerofree._refined_needle
+
+    def spy(theta, v, *args):
+        seen.append((theta, v))
+        return real_needle(theta, v, *args)
+
+    monkeypatch.setattr(zerofree, "_refined_needle", spy)
+    E = BoundarySet.from_points(list(targets))
+    res = simultaneous_zero_free(CoeffSeries([1.0]), list(targets.values()), E, 0.1)
+    assert {theta for theta, _ in seen} == set(targets)
+    for theta, v in seen:
+        assert v == pytest.approx(cmath.log(targets[theta]), abs=1e-15)
+    assert res.report.zero_free and not res.report.indeterminate
+    assert res.space_error < 0.1
+    assert res.boundary_error < 0.1
+    for theta, t in targets.items():
+        assert abs(evaluate(res.P, np.exp(1j * theta)) - t) < 0.1
 
 
 def test_halving_the_budget_never_loosens_the_errors():
