@@ -8,9 +8,12 @@ orders gives every Q_n: Levinson's recursion on the autocorrelation of f
 at alpha = 0, and at alpha > 0 a Cholesky factor of the Gram matrix grown
 one row per order.  That matrix has band width deg f, so the alpha > 0
 walk keeps only its band and the last deg f rows of the inverse factor;
-neither walk forms a matrix.  ``opa_solve`` takes the last order of a
-walk, ``convergence_profile`` reports every order of one walk, and the
-order search in ``steer`` stops a walk at the first order that passes.
+neither walk forms a matrix.  A walk keeps its state in buffers that
+double with the order reached and hands out views of them, so what it
+yields is valid until it takes its next step.  ``opa_solve`` takes the
+last order of a walk, ``convergence_profile`` reports every order of one
+walk, and the order search in ``steer`` stops a walk at the first order
+that passes and keeps that order's approximant.
 """
 
 from __future__ import annotations
@@ -181,21 +184,34 @@ def _levinson_orders(f: CoeffSeries, n_max: int):
 
     With eps = sum_k conj(r_{n-k}) x_{n-1}[k], the step is
     x_n = ([x_{n-1}; 0] - eps [0; reverse(conj x_{n-1})]) / (1 - |eps|^2),
-    and the pivot of M_n is 1 / Re x_n[0].
+    and the pivot of M_n is 1 / Re x_n[0].  The step runs in place: x_n,
+    its scratch reversal and Q_n sit in buffers that double with the
+    order reached, and dividing by 1 - |eps|^2 is a multiply by its
+    reciprocal, which is what numpy's complex division by a real does.
     """
     r = _autocorrelation(f.coeffs, n_max)
     r_conj = np.conj(r)
-    x = np.array([1.0 / r[0].real], dtype=np.complex128)
+    c0 = f.coeffs[0]
+    x_buf, t_buf, q_buf = (np.zeros(1, dtype=np.complex128) for _ in range(3))
+    x_buf[0] = 1.0 / r[0].real
     low = r[0].real
     for n in range(n_max + 1):
+        if n == len(x_buf):
+            size = min(2 * n, n_max + 1)
+            x_buf = np.concatenate((x_buf, np.zeros(size - n, dtype=np.complex128)))
+            t_buf, q_buf = (np.empty(size, dtype=np.complex128) for _ in range(2))
+        x, t, q = x_buf[: n + 1], t_buf[: n + 1], q_buf[: n + 1]
         if n:
-            eps = np.dot(r_conj[n:0:-1], x)
-            x = np.append(x, 0.0)
-            x = (x - eps * np.conj(x[::-1])) / (1.0 - abs(eps) ** 2)
+            eps = np.dot(r_conj[n:0:-1], x[:n])
+            np.conj(x[::-1], out=t)
+            np.multiply(eps, t, out=t)  # eps first: t *= eps rounds differently
+            x -= t
+            x *= 1.0 / (1.0 - abs(eps) ** 2)
             low = min(low, 1.0 / x[0].real)
         condition = partial(_levinson_condition, r, x)
         _check_pivot(low, (n + 1) * r[0].real, condition, n=n, alpha=0.0)
-        yield np.conj(f.coeffs[0] * x), condition
+        np.multiply(c0, x, out=q)
+        yield np.conj(q, out=q), condition
 
 
 def _banded_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
@@ -207,8 +223,8 @@ def _banded_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
     conj(L[n, n-k:n]) = L^{-1} M[:, n] restricted to those rows, the pivot
     L_nn^2 = M_nn - |L[n, n-k:n]|^2 and x_n = (e_n - L[n, n-k:n] X) / L_nn.
     X, the last k rows of L^{-1}, sits in a ring of slots j mod K.  The
-    buffers double when the walk outgrows them, so an open-ended walk
-    holds at most twice the orders it reaches.
+    buffers, Q_n's among them, double when the walk outgrows them, so an
+    open-ended walk holds at most twice the orders it reaches.
     """
     c = f.coeffs
     d = len(c) - 1
@@ -216,7 +232,7 @@ def _banded_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
     windows = sliding_window_view(np.concatenate((c, np.zeros(K))), d + 1)
     X = np.zeros((max(K, 1), 0), dtype=np.complex128)
     L_band = M_band = np.zeros((0, K + 1), dtype=np.complex128)
-    q = np.zeros(0, dtype=np.complex128)
+    q_buf = np.zeros(0, dtype=np.complex128)
     low, trace = np.inf, 0.0
     for n in range(n_max + 1):
         k = min(K, n)
@@ -224,6 +240,7 @@ def _banded_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
             grow = min(max(n, 64), n_max + 1 - n)
             X = np.pad(X, ((0, 0), (0, grow)))
             L_band, M_band = (np.pad(band, ((0, grow), (0, 0))) for band in (L_band, M_band))
+            q_buf = np.pad(q_buf, (0, grow))
         weighted = np.conj(c) * np.arange(n + 1, n + d + 2, dtype=float) ** w.alpha
         column = np.einsum("su,u->s", windows[: k + 1], weighted)[::-1]
         M_band[n, K - k :] = column
@@ -242,7 +259,8 @@ def _banded_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
         x /= L_band[n, K]
         X[n % len(X), : n + 1] = x
         low, trace = min(low, pivot), trace + column[k].real
-        q = np.append(q, 0.0) + np.conj(c[0] * x[0]) * x
+        q = q_buf[: n + 1]
+        q += np.multiply(np.conj(c[0] * x[0]), x, out=x)
         condition = partial(_band_condition, L_band[: n + 1], M_band[: n + 1])
         _check_pivot(low, trace, condition, n=n, alpha=w.alpha)
         yield q, condition
@@ -252,10 +270,13 @@ def _opa_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
     """Yield (coefficients of Q_n, condition) for n = 0..n_max from one walk.
 
     ``condition()`` returns the 1-norm condition estimate of the order-n
-    Gram matrix at the cost of a few solves.  Up to order n, the walk
-    takes O(n) time per order and keeps O(n) numbers at alpha = 0, and
-    O(n deg f) of each at alpha > 0.  Raises IllConditionedError at the
-    first order that fails the pivot check.
+    Gram matrix at the cost of a few solves.  The coefficients are a view
+    of the walk's buffers, and ``condition`` reads views of them: both
+    hold order n only until the walk advances, so a consumer copies what
+    it keeps (``CoeffSeries`` copies its input).  Up
+    to order n, the walk takes O(n) time per order and keeps O(n) numbers
+    at alpha = 0, and O(n deg f) of each at alpha > 0.  Raises
+    IllConditionedError at the first order that fails the pivot check.
     """
     _validate_f(f, n_max)
     if w.alpha == 0.0:

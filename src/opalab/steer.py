@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .opa import _opa_orders, opa_solve
+from .opa import _opa_orders
 from .series import CoeffSeries, evaluate, multiply
 from .spaces import AlphaWeight, norm_alpha
 from .zerofree import _normalize_targets, _padded_sum, _space_alpha, simultaneous_zero_free
@@ -56,10 +56,11 @@ class SteerResult:
     achieved: AchievedErrors
 
 
-def opa_search_m(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWeight) -> int:
-    """First order m with sup over E of |Q_m - target| below tol.
+def _search(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWeight):
+    """(m, Q_m) for the first order m with sup over E of |Q_m - target| below tol.
 
-    One walk over the orders 0..M_SEARCH_CAP stops at the first that passes.
+    One walk over the orders 0..M_SEARCH_CAP stops at the first that
+    passes; Q_m is copied out of the walk's buffers before it stops.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -70,11 +71,21 @@ def opa_search_m(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWei
         if m == powers.shape[1]:
             powers = np.exp(1j * np.outer(thetas, np.arange(2 * m + 1)))
         if np.max(np.abs(powers[:, : m + 1] @ coeffs - refs)) < tol:
-            return m
+            return m, CoeffSeries(coeffs, 0.0)
     raise ApproximationBudgetError(
         "approximant order search exceeded its cap",
         {"cap": M_SEARCH_CAP, "tol": tol},
     )
+
+
+def opa_search_m(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWeight) -> int:
+    """First order m with sup over E of |Q_m - target| below tol.
+
+    One walk over the orders 0..M_SEARCH_CAP stops at the first that
+    passes.  ``steer`` takes Q_m from the same walk; this wrapper keeps
+    only the order.
+    """
+    return _search(P, target, E, tol, w)[0]
 
 
 def steer(
@@ -139,8 +150,7 @@ def steer(
         )
     P = zf.P
 
-    m = opa_search_m(P, 1.0 / evaluate(P, zs), E, eps / 2.0, w)
-    Q_m = opa_solve(P, m, w).Q
+    m, Q_m = _search(P, 1.0 / evaluate(P, zs), E, eps / 2.0, w)
 
     deg_P = len(P.coeffs) - 1
     if inner_zeros:

@@ -28,6 +28,7 @@ from opalab import (
     opa_search_m,
     opa_solve,
 )
+from opalab.opa import _autocorrelation, _levinson_condition, _opa_orders
 
 H2 = AlphaWeight(0.0)
 DIR = AlphaWeight(1.0)
@@ -315,6 +316,41 @@ def test_walks_allocate_no_gram_matrix(alpha):
     E = BoundarySet.from_points([0.0])
     m, peak = _peak_bytes(lambda: opa_search_m(f, [100.0], E, 1e-3, w))
     assert m > 1000 and peak < (m + 1) ** 2
+
+
+def appending_levinson_walk(f, n_max):
+    """The Levinson step written with fresh arrays: append a zero, then divide.
+
+    It yields (Q_n, x_n) for n = 0..n_max, computed in the operand order
+    the library's in-place step has to reproduce bit for bit.
+    """
+    r = _autocorrelation(f.coeffs, n_max)
+    r_conj = np.conj(r)
+    x = np.array([1.0 / r[0].real], dtype=np.complex128)
+    for n in range(n_max + 1):
+        if n:
+            eps = np.dot(r_conj[n:0:-1], x)
+            x = np.append(x, 0.0)
+            x = (x - eps * np.conj(x[::-1])) / (1.0 - abs(eps) ** 2)
+        yield np.conj(f.coeffs[0] * x), x
+
+
+def test_in_place_levinson_is_bit_identical_to_the_appending_walk():
+    # Bits, not a tolerance: scaling the scratch vector by eps in place
+    # (t *= eps) instead of eps * t already changes the last bits.
+    rng = np.random.default_rng(53)
+    for _ in range(24):
+        deg = int(rng.integers(1, 9))
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        c[0] += 2.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        f = CoeffSeries(c)
+        n_max = int(rng.integers(0, 601))
+        walk = _opa_orders(f, H2, n_max)
+        for (got, condition), (want, x) in zip(walk, appending_levinson_walk(f, n_max)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(got) == n_max + 1
+        want_cond = _levinson_condition(_autocorrelation(f.coeffs, n_max), x)
+        assert np.float64(condition()).view(np.uint64) == np.float64(want_cond).view(np.uint64)
 
 
 # ------------------------------------------------------ convergence_profile

@@ -1,5 +1,7 @@
 """Steering a polynomial so its reciprocal approximants track g on E."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from opalab import (
     steer,
 )
 from opalab.serialize import dumps, to_jsonable
+
+# The module, not the function that the package exports under the same name.
+steer_module = importlib.import_module("opalab.steer")
+opa_module = importlib.import_module("opalab.opa")
 
 H2 = AlphaWeight(0.0)
 DIR = AlphaWeight(1.0)
@@ -56,6 +62,24 @@ def test_steer_zero_free_input_tracks_a_constant():
     # Q_m really is the reciprocal approximant of F at the reported order
     direct = opa_solve(res.F_coeffs, res.m, H2).Q
     assert np.allclose(res.Q_m.coeffs, direct.coeffs, atol=1e-10)
+
+
+def test_steer_walks_the_orders_once(monkeypatch):
+    walks = []
+    orders = opa_module._opa_orders
+
+    def counting_orders(*args):
+        walks.append(args)
+        return orders(*args)
+
+    # Both bindings: a second walk would come in through opa_solve
+    monkeypatch.setattr(steer_module, "_opa_orders", counting_orders)
+    monkeypatch.setattr(opa_module, "_opa_orders", counting_orders)
+    res = steer(CoeffSeries([1.0, -0.5]), CoeffSeries([2.0]), E_ONE, 0.1)
+    assert len(walks) == 1
+    # Q_m comes out of the search's walk, bit for bit the approximant of P at order m
+    direct = opa_solve(res.F_structured.P, res.m, H2).Q
+    assert np.array_equal(res.Q_m.coeffs.view(np.uint64), direct.coeffs.view(np.uint64))
 
 
 def test_steer_reaches_a_larger_constant():
