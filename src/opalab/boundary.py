@@ -3,9 +3,9 @@
 Angles are radians, normalized to [0, 2*pi).  Arcs are (center, half_width)
 pairs and get merged circularly on construction, across the seam at angle 0
 too.  Finite point sets are the peak sets E and the target sets of the
-zero-free and steering pipelines; arcs are the neighborhoods U of E, the
-arc sets whose equilibrium measures rudin computes, and, sampled, the
-probe grids of the OPA convergence profile.
+zero-free and steering pipelines; arcs are the neighborhoods U of E and
+the arc sets whose equilibrium measures rudin computes.  A non-finite
+angle is an input error, not a point.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 
 TWO_PI = 2.0 * np.pi
 
-# 4096 samples on the full circle by default.
-DEFAULT_SAMPLE_DENSITY = 4096.0 / TWO_PI
-
 
 def normalize_angle(theta: float) -> float:
-    t = float(theta) % TWO_PI
+    theta = float(theta)
+    if not np.isfinite(theta):
+        raise InvalidInputError("angles must be finite")
+    t = theta % TWO_PI
     if t < 0.0:
         t += TWO_PI
     return 0.0 if t >= TWO_PI else t
@@ -38,14 +38,15 @@ def circle_gap(a: float, b: float) -> float:
 def _merge_arcs(arcs) -> tuple:
     """Normalize and circularly merge overlapping arcs."""
     iv = []
+    full = False
     for center, hw in arcs:
-        hw = float(hw)
+        c, hw = normalize_angle(center), float(hw)
         if not np.isfinite(hw) or hw <= 0.0:
             raise InvalidParameterError("arc half-widths must be positive")
-        if hw >= np.pi:
-            return ((0.0, np.pi),)
-        c = normalize_angle(center)
+        full = full or hw >= np.pi
         iv.append((c - hw, c + hw))
+    if full:
+        return ((0.0, np.pi),)
     if not iv:
         return ()
     iv.sort()
@@ -78,24 +79,19 @@ class BoundarySet:
 
     points: tuple = ()
     arcs: tuple = ()
-    sample_density: float = DEFAULT_SAMPLE_DENSITY
 
     def __post_init__(self):
         pts = tuple(sorted({normalize_angle(p) for p in self.points}))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "arcs", _merge_arcs(self.arcs))
-        dens = float(self.sample_density)
-        if not np.isfinite(dens) or dens <= 0.0:
-            raise InvalidParameterError("sample_density must be positive")
-        object.__setattr__(self, "sample_density", dens)
 
     @classmethod
-    def from_points(cls, angles, sample_density: float = DEFAULT_SAMPLE_DENSITY) -> "BoundarySet":
-        return cls(points=tuple(angles), sample_density=sample_density)
+    def from_points(cls, angles) -> "BoundarySet":
+        return cls(points=tuple(angles))
 
     @classmethod
-    def full_circle(cls, sample_density: float = DEFAULT_SAMPLE_DENSITY) -> "BoundarySet":
-        return cls(arcs=((0.0, np.pi),), sample_density=sample_density)
+    def full_circle(cls) -> "BoundarySet":
+        return cls(arcs=((0.0, np.pi),))
 
     @property
     def is_empty(self) -> bool:
@@ -110,20 +106,6 @@ class BoundarySet:
     def is_full_circle(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][1] >= np.pi - 1e-12
 
-    def samples(self) -> np.ndarray:
-        """Sorted sample angles: the points plus density-driven arc grids."""
-        chunks = [np.asarray(self.points, dtype=float)]
-        if self.is_full_circle:
-            G = max(4, int(round(TWO_PI * self.sample_density)))
-            chunks.append(np.linspace(0.0, TWO_PI, G, endpoint=False))
-        else:
-            for c, hw in self.arcs:
-                length = 2.0 * hw
-                n_s = max(2, int(np.ceil(length * self.sample_density)) + 1)
-                chunks.append((np.linspace(c - hw, c + hw, n_s)) % TWO_PI)
-        allpts = np.concatenate(chunks) if chunks else np.empty(0)
-        return np.unique(allpts)
-
 
 def neighborhood(E: BoundarySet, width: float) -> BoundarySet:
     """Open arc neighborhood of ``E`` of the given angular half-width."""
@@ -132,7 +114,5 @@ def neighborhood(E: BoundarySet, width: float) -> BoundarySet:
         raise InvalidParameterError("neighborhood width must be positive")
     arcs = [(p, width) for p in E.points]
     arcs += [(c, hw + width) for c, hw in E.arcs]
-    if not arcs:
-        return BoundarySet(sample_density=E.sample_density)
-    return BoundarySet(arcs=tuple(arcs), sample_density=E.sample_density)
+    return BoundarySet(arcs=tuple(arcs))
 

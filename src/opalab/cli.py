@@ -249,7 +249,7 @@ def _cmd_opa_converge(args, config):
     alpha = _setting(args, config, "alpha", 0.0, float)
     probes = _setting(args, config, "probes", 256, int)
     radius = _setting(args, config, "interior_radius", 0.9, float)
-    circle = BoundarySet.full_circle(sample_density=max(probes, 8) / (2.0 * np.pi))
+    circle = np.linspace(0.0, 2.0 * np.pi, max(probes, 8), endpoint=False)
     ring = [radius * np.exp(2j * np.pi * k / 16.0) for k in range(16)]
     rows = convergence_profile(f, int(n_max), AlphaWeight(alpha), circle, ring)
     inputs = {

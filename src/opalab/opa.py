@@ -285,8 +285,7 @@ def _opa_orders(f: CoeffSeries, w: AlphaWeight, n_max: int):
 
 
 def _residual(Q: CoeffSeries, f: CoeffSeries, w: AlphaWeight) -> float:
-    prod = multiply(Q, f, max_degree=Q.truncation_degree + f.truncation_degree)
-    return norm_alpha(prod - CoeffSeries([1.0]), w)
+    return norm_alpha(multiply(Q, f) - CoeffSeries([1.0]), w)
 
 
 def opa_solve(f: CoeffSeries, n: int, w: AlphaWeight) -> OpaResult:
@@ -306,19 +305,19 @@ def convergence_profile(
     f: CoeffSeries,
     n_max: int,
     w: AlphaWeight,
-    probes,
+    circle_angles,
     disc_probes,
 ) -> list:
     """Residual and pointwise reciprocal errors for each order up to n_max.
 
-    ``probes`` is a BoundarySet sampled on the circle; ``disc_probes`` is a
-    list of interior points.  Returns one dict per order with keys
+    ``circle_angles`` lists the probe angles on the circle; ``disc_probes``
+    is a list of interior points.  Returns one dict per order with keys
     n, residual, sup_circle, max_interior (CSV-ready).  Probe points where
     f vanishes produce inf entries rather than errors.
     """
     if n_max < 0:
         raise InvalidParameterError("n_max must be nonnegative")
-    circle_z = np.exp(1j * probes.samples())
+    circle_z = np.exp(1j * np.asarray(circle_angles, dtype=float))
     zs = np.concatenate((circle_z, np.asarray(list(disc_probes), dtype=np.complex128)))
     f_vals = evaluate(f, zs)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -33,7 +33,7 @@ from .errors import (
     ResolutionExceededError,
 )
 from .opa import _check_pivot, _condition
-from .series import CoeffSeries, dilate, eval_on_circle_grid, exp_series
+from .series import CoeffSeries, dilate, eval_on_circle_grid, evaluate, exp_series
 from .spaces import dirichlet_integral
 
 BUMP_MIN_CELLS = 4
@@ -231,14 +231,6 @@ def _exp_within_ripple(F: CoeffSeries, grid_log2: int, ripple: float):
     return CoeffSeries([1.0]) - CoeffSeries(e.coeffs[: degree + 1], h_tail)
 
 
-def _values_at_angles(a: CoeffSeries, angles: np.ndarray) -> np.ndarray:
-    """Direct evaluation at unit-circle angles; fast for few points, any degree."""
-    k = np.arange(len(a.coeffs))
-    return np.asarray(
-        [np.dot(a.coeffs, np.exp(1j * k * t)) for t in np.atleast_1d(angles)]
-    )
-
-
 def _certify(h: CoeffSeries, E: BoundarySet, U: BoundarySet, dirichlet_energy=None):
     """Measure the certified block of a peak function on the standard grids."""
     q = CERT_GRID_LOG2
@@ -269,7 +261,7 @@ def _certify(h: CoeffSeries, E: BoundarySet, U: BoundarySet, dirichlet_energy=No
     off_sup = float(max(chunk.max() for chunk in off_vals)) if off_vals else 0.0
 
     if E.points:
-        peak_dev = float(np.max(np.abs(_values_at_angles(h, np.asarray(E.points)) - 1.0)))
+        peak_dev = float(np.max(np.abs(evaluate(h, np.exp(1j * np.asarray(E.points))) - 1.0)))
     else:
         peak_dev = 0.0
     return CertifiedBounds(sup_bound, off_sup, peak_dev, dirichlet_energy)
@@ -320,14 +312,19 @@ def hardy_rudin(
     best_peak = -np.inf
     grids_tried = []
     while q <= GRID_CAP_LOG2 and tries < 3:
+        grids_tried.append(q)
         try:
             u = bump_profile(E, U, peak, delta, q)
-        except ResolutionExceededError:
+        except ResolutionExceededError as exc:
+            diag = {
+                "reason": "bump width below the grid resolution",
+                "grids_tried": grids_tried,
+                **exc.diagnostics,
+            }
             q += 2
             continue
         G = 1 << q
         uhat = np.fft.rfft(u.grid_values) / G
-        grids_tried.append(q)
         N = None
         cand = 256
         while cand <= G // 2:
@@ -348,8 +345,7 @@ def hardy_rudin(
             continue
         damped = fejer_mean(u, N)
         F = analytic_completion(damped, N)
-        attained = min(_damped_peak_at(uhat, N, p) for p in E.points)
-        h = _exp_within_ripple(F, q, 0.5 * (target_dev - np.exp(-attained)))
+        h = _exp_within_ripple(F, q, 0.5 * (target_dev - np.exp(-reached)))
         if h is None:
             diag = {
                 "reason": "exp read-off tail exceeds the peak deviation budget",

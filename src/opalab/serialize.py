@@ -79,12 +79,9 @@ def boundary_set_from_json(data: dict) -> BoundarySet:
     try:
         points = tuple(float(p) for p in data.get("points", []))
         arcs = tuple((float(c), float(h)) for c, h in data.get("arcs", []))
-        kwargs = {}
-        if "sample_density" in data:
-            kwargs["sample_density"] = float(data["sample_density"])
     except (TypeError, ValueError) as exc:
         raise InvalidInputError("malformed boundary-set file: %s" % exc)
-    return BoundarySet(points=points, arcs=arcs, **kwargs)
+    return BoundarySet(points=points, arcs=arcs)
 
 
 def targets_from_json(data: dict) -> dict:

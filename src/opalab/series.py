@@ -9,13 +9,12 @@ type stays dumb and hashable-by-identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-
-DEFAULT_PRODUCT_DEGREE = 256
 
 WINDING_GRID_LOG2 = 14
 WINDING_GRID_CAP_LOG2 = 20
@@ -120,15 +119,14 @@ class ZeroFreeReport:
 
 
 def multiply(a: CoeffSeries, b: CoeffSeries, max_degree: int | None = None) -> CoeffSeries:
-    """Cauchy product, truncated at ``max_degree``.
+    """Cauchy product, truncated at ``max_degree`` (the full product by default).
 
-    The default policy degree is min(deg a + deg b, DEFAULT_PRODUCT_DEGREE).
     Tail bounds propagate as ||a|| tail(b) + ||b|| tail(a) + tail(a) tail(b)
     in H^2 norms, plus the l2 mass of any truncated product coefficients.
     """
     full = np.convolve(a.coeffs, b.coeffs)
     if max_degree is None:
-        max_degree = min(len(full) - 1, DEFAULT_PRODUCT_DEGREE)
+        max_degree = len(full) - 1
     if max_degree < 0:
         raise InvalidParameterError("max_degree must be nonnegative")
     tail = (
@@ -174,19 +172,37 @@ def exp_series(a: CoeffSeries, N: int | None = None, grid_log2: int | None = Non
 
 
 def evaluate(a: CoeffSeries, z):
-    """Horner evaluation of the stored polynomial part at ``z``.
+    """Two-level Horner evaluation of the stored polynomial part at ``z``.
 
+    The N + 1 coefficients fill rows of B = floor(sqrt(N + 1)); one Horner
+    pass in z runs down the columns of every row at once while it builds
+    z**B, and a second runs in z**B over the row values, so a call costs
+    about 2 sqrt(N) vectorized steps.  Every step is elementwise, and ``z``
+    is flattened first, so a point's value does not depend on the other
+    points, and a scalar takes the same path.  (numpy rounds a complex
+    product of numpy scalars, or an in-place one on a single element,
+    differently from its vector loop, hence no 0-d values and no ``*=``.)
     ``z`` may be a scalar or an ndarray; the tail bound controls the
     committed error only on the closed unit disc.
     """
     zz = np.asarray(z, dtype=np.complex128)
-    scalar = zz.ndim == 0
-    acc = np.full(zz.shape, a.coeffs[-1], dtype=np.complex128)
-    for c in a.coeffs[-2::-1]:
-        acc = acc * zz + c
-    if scalar:
-        return complex(acc)
-    return acc
+    x = zz.reshape(-1)
+    c = a.coeffs
+    B = math.isqrt(len(c))
+    rows = np.zeros(-(-len(c) // B) * B, dtype=np.complex128)
+    rows[: len(c)] = c
+    rows = rows.reshape(-1, B)
+    acc = np.repeat(rows[:, -1:], len(x), axis=1)
+    zB = x
+    for j in range(B - 2, -1, -1):
+        acc = acc * x + rows[:, j : j + 1]
+        zB = zB * x
+    out = acc[-1]
+    for row in acc[-2::-1]:
+        out = out * zB + row
+    if zz.ndim == 0:
+        return complex(out[0])
+    return out.reshape(zz.shape)
 
 
 def dilate(a: CoeffSeries, r: float) -> CoeffSeries:

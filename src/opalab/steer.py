@@ -13,11 +13,12 @@ identity the tests check coefficient by coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import blaschke_series, polynomial_inner_outer
+from .blaschke import ORIGIN_TOL, blaschke_series, polynomial_inner_outer
 from .boundary import BoundarySet
 from .errors import (
     ApproximationBudgetError,
@@ -27,7 +28,7 @@ from .errors import (
 from .opa import _opa_orders
 from .series import CoeffSeries, evaluate, multiply
 from .spaces import AlphaWeight, norm_alpha
-from .zerofree import _normalize_targets, _padded_sum, _space_alpha, simultaneous_zero_free
+from .zerofree import _normalize_targets, _space_alpha, simultaneous_zero_free
 
 M_SEARCH_CAP = 16384
 DELTA_ROUNDS = 6
@@ -124,9 +125,13 @@ def steer(
         raise InvalidParameterError(
             "dirichlet steering is only defined for f with no zeros in the disc"
         )
+    if 0 in inner_zeros:
+        raise InvalidInputError(
+            "f has a root within %g of 0; divide out the z-power first" % ORIGIN_TOL
+        )
     if inner_zeros:
-        blaschke_probe = blaschke_series(inner_zeros, 64)
-        sigma = complex(np.conj(blaschke_probe.coeffs[0]))
+        # sigma = conj(B(0)), and B(0) = prod |a_j| for zeros a_j off the origin
+        sigma = complex(math.prod(abs(a) for a in inner_zeros)).conjugate()
     else:
         sigma = 1.0 + 0.0j
     h = (1.0 / sigma) * factorization.outer
@@ -160,7 +165,7 @@ def steer(
     else:
         F_coeffs = CoeffSeries(P.coeffs, 0.0)
 
-    norm_error = norm_alpha(_padded_sum(F_coeffs, -f), w) + F_coeffs.tail_bound
+    norm_error = norm_alpha(F_coeffs - f, w) + F_coeffs.tail_bound
     boundary_error = float(np.max(np.abs(evaluate(Q_m, zs) - g_vals)))
     return SteerResult(
         StructuredProduct(sigma, inner_zeros, P),

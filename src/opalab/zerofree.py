@@ -107,11 +107,6 @@ def _space_alpha(space: str) -> AlphaWeight:
     raise InvalidParameterError("space must be 'hardy' or 'dirichlet'")
 
 
-def _padded_sum(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
-    n = max(len(a.coeffs), len(b.coeffs))
-    return a.pad(n - 1) + b.pad(n - 1)
-
-
 def _analytic_mask(band: int) -> np.ndarray:
     """Fourier multiplier on frequencies 0..band taking a complex boundary
     profile u + i*psi to the boundary values of its band-limited analytic
@@ -271,8 +266,7 @@ def _refined_needle(
     """
     cost_grad, gauss_newton, x0, spectrum = _needle_objective(theta, v, base_width, w2, band)
     c = spectrum(minimize(cost_grad, x0, gauss_newton).x) / _G
-    val = complex(np.polyval(c[::-1], np.exp(1j * theta)))
-    return c * (v / val)
+    return c * (v / evaluate(CoeffSeries(c), np.exp(1j * theta)))
 
 
 def _normalize_targets(target, E: BoundarySet) -> np.ndarray:
@@ -301,7 +295,7 @@ def _normalize_targets(target, E: BoundarySet) -> np.ndarray:
 def _select_dilation(g: CoeffSeries, eps: float, w: AlphaWeight):
     for r in DILATION_SCHEDULE:
         g_r = dilate(g, r)
-        if norm_alpha(_padded_sum(g_r, -g), w) >= eps / 4.0:
+        if norm_alpha(g_r - g, w) >= eps / 4.0:
             continue
         report = zero_free_on_closed_disc(g_r)
         if report.zero_free and not report.indeterminate:
@@ -373,7 +367,7 @@ def simultaneous_zero_free(
     if all(abs(v) <= TRIVIAL_RATIO_TOL for _, v in point_vs):
         P = CoeffSeries(g_r.coeffs, 0.0)
         report = zero_free_on_closed_disc(P)
-        space_error = norm_alpha(_padded_sum(P, -g), w) + g.tail_bound
+        space_error = norm_alpha(P - g, w) + g.tail_bound
         boundary_error = float(np.max(np.abs(evaluate(P, zs) - targets)))
         trace = ZeroFreeTrace(r, 0, len(P.coeffs) - 1)
         if report.zero_free and space_error < eps and boundary_error < gate:
@@ -411,8 +405,7 @@ def simultaneous_zero_free(
 
         def assemble(F_arr):
             phi = exp_series(CoeffSeries(F_arr, 0.0), degree)
-            prod = multiply(g_r, phi, max_degree=len(g_r.coeffs) + len(phi.coeffs) - 2)
-            return CoeffSeries(prod.coeffs, 0.0)
+            return CoeffSeries(multiply(g_r, phi).coeffs, 0.0)
 
         P = assemble(F)
         for _ in range(POLISH_ROUNDS):
@@ -429,7 +422,7 @@ def simultaneous_zero_free(
                 (shift[p] / v) * c for p, v, c in needles if float(p) in shift
             )
             P = assemble(F)
-        space_error = norm_alpha(_padded_sum(P, -g), w) + g.tail_bound
+        space_error = norm_alpha(P - g, w) + g.tail_bound
         boundary_error = float(np.max(np.abs(evaluate(P, zs) - targets)))
         if space_error + boundary_error < best["space_error"] + best["boundary_error"]:
             best = {

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from opalab import BoundarySet, InvalidParameterError, neighborhood
+from opalab import BoundarySet, InvalidInputError, InvalidParameterError, neighborhood
 from opalab.boundary import circle_gap, normalize_angle
 
 TWO_PI = 2.0 * math.pi
@@ -91,6 +91,17 @@ def test_positive_measure_flag_and_full_circle():
     full = BoundarySet.full_circle()
     assert full.positive_measure
     assert full.is_full_circle
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected(bad):
+    with pytest.raises(InvalidInputError):
+        BoundarySet(points=(0.0, bad))
+    with pytest.raises(InvalidInputError):
+        BoundarySet(arcs=((bad, 0.2),))
+    # a full-circle arc does not hide a bad centre after it
+    with pytest.raises(InvalidInputError):
+        BoundarySet(arcs=((0.0, 4.0), (bad, 0.2)))
 
 
 def test_arcs_merge_on_construction():

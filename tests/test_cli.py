@@ -177,6 +177,20 @@ def test_domain_errors_exit_2_with_json_on_stderr(files, capsys):
     )
     assert code2 == 2
 
+    # the root of f = z - 1e-9 snaps to 0, where conj(B(0)) vanishes; and
+    # json.load reads NaN, so a set file can carry a non-finite angle
+    near_origin = write_json(files["dir"] / "f0.json", {"coeffs": [[-1e-9, 0.0], [1.0, 0.0]]})
+    nan_set = files["dir"] / "nan.json"
+    nan_set.write_text('{"points": [NaN]}')
+    capsys.readouterr()
+    for f_path, set_path in ((near_origin, files["point"]), (files["f_half"], str(nan_set))):
+        code, _ = run(
+            ["steer", "--f", f_path, "--g", files["two"], "--set", set_path, "--eps", "0.1"],
+            files["dir"] / "never5.json",
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+
 
 def test_budget_errors_exit_3_with_diagnostics(files, capsys):
     out = files["dir"] / "never3.json"

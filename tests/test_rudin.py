@@ -228,6 +228,19 @@ def test_hardy_peak_damping_search_failure_carries_diagnostics():
     assert diag["grids_tried"] and max(diag["grids_tried"]) <= 22
 
 
+def test_hardy_peak_bump_resolution_failure_carries_diagnostics():
+    # eps = 1e-9 asks for a bump narrower than BUMP_MIN_CELLS cells of the
+    # finest grid, so every grid fails before any profile is built.
+    with pytest.raises(ConstructionError) as info:
+        hardy_rudin(E0, BoundarySet(arcs=((0.0, 0.3),)), 1e-9, 12.0)
+    diag = info.value.diagnostics
+    assert "resolution" in diag["reason"]
+    assert diag["grids_tried"] == [14, 16, 18, 20, 22]
+    assert diag["grid_log2"] == 22
+    assert diag["min_cells"] == 4
+    assert 0.0 < diag["width"] < 4 * 2.0 * np.pi / (1 << 22)
+
+
 # ------------------------------------------------------------- equilibrium
 
 @loud

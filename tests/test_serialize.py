@@ -49,13 +49,9 @@ def test_nested_dataclasses_become_field_dicts():
         "trace": {"dilation": 0.99, "level": 8, "degree": 1},
     }
 
-    E = BoundarySet(points=(0.5, 3.0), arcs=((1.0, 0.25), (5.0, 0.125)), sample_density=100.0)
+    E = BoundarySet(points=(0.5, 3.0), arcs=((1.0, 0.25), (5.0, 0.125)))
     assert to_jsonable({"set": E}) == {
-        "set": {
-            "points": list(E.points),
-            "arcs": [[c, hw] for c, hw in E.arcs],
-            "sample_density": 100.0,
-        }
+        "set": {"points": list(E.points), "arcs": [[c, hw] for c, hw in E.arcs]}
     }
 
 

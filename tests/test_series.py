@@ -21,7 +21,7 @@ from opalab import (
     multiply,
     zero_free_on_closed_disc,
 )
-from opalab.series import DEFAULT_PRODUCT_DEGREE, eval_on_circle_grid
+from opalab.series import eval_on_circle_grid
 
 
 def product_oracle(a, b):
@@ -89,15 +89,19 @@ def test_multiply_matches_convolution():
 
 
 def test_multiply_default_degree_policy_records_cut_mass():
-    # Products past the policy degree are not lost silently: the l2 mass of
-    # the cut coefficients lands in the tail bound.
+    # Products past max_degree are not lost silently: the l2 mass of the cut
+    # coefficients lands in the tail bound.  With no max_degree the product
+    # is the full one.
     rng = np.random.default_rng(13)
     a = random_poly(rng, 200)
     b = random_poly(rng, 200)
-    p = multiply(a, b)
-    assert p.truncation_degree == DEFAULT_PRODUCT_DEGREE
-    cut = product_oracle(a.coeffs, b.coeffs)[DEFAULT_PRODUCT_DEGREE + 1 :]
-    assert p.tail_bound == pytest.approx(float(np.linalg.norm(cut)), rel=1e-12)
+    full = product_oracle(a.coeffs, b.coeffs)
+    p = multiply(a, b, max_degree=256)
+    assert p.truncation_degree == 256
+    assert p.tail_bound == pytest.approx(float(np.linalg.norm(full[257:])), rel=1e-12)
+    exact = multiply(a, b)
+    assert np.array_equal(exact.coeffs, full)
+    assert exact.tail_bound == 0.0
 
 
 def test_multiply_commutative_and_associative():
@@ -210,6 +214,30 @@ def test_evaluate_on_an_array_equals_pointwise_calls():
     for n in (1, 7, 3000):
         a = random_poly(rng, n)
         assert np.array_equal(evaluate(a, zs), [evaluate(a, z) for z in zs])
+
+
+def horner_oracle(c, z):
+    """One coefficient at a time, from the top: the pre-blocked evaluator."""
+    acc = np.full(np.shape(z), c[-1], dtype=np.complex128)
+    for ck in c[-2::-1]:
+        acc = acc * z + ck
+    return acc
+
+
+def test_evaluate_at_high_degree_matches_direct_sum_and_horner():
+    # Degree 2**17 + 9: rows of 362, the second Horner pass is 363 long.
+    rng = np.random.default_rng(22)
+    a = random_poly(rng, (1 << 17) + 9, scale=1e-3)
+    c = a.coeffs
+    k = np.arange(len(c))
+    angles = np.array([0.0, 1.0, np.pi / 2, 2.5, -3.0])
+    direct = np.array([np.dot(c, np.exp(1j * k * t)) for t in angles])
+    on_circle = evaluate(a, np.exp(1j * angles))
+    assert np.max(np.abs(on_circle - direct)) < 1e-12 * np.sum(np.abs(c))
+    inside = np.array([0.0, 0.5, -0.3 + 0.8j, 0.99j, 0.999 * np.exp(2j)])
+    want = horner_oracle(c, inside)
+    assert np.max(np.abs(evaluate(a, inside) - want)) < 1e-13 * np.sum(np.abs(c))
+    assert evaluate(a, 0.0) == c[0]
 
 
 # ------------------------------------------------------------------ dilate

@@ -133,6 +133,10 @@ def test_steer_rejections():
         steer(CoeffSeries([-0.5, 1.0]), good_g, E_ONE, 0.1, space="dirichlet")
     with pytest.raises(InvalidInputError):
         steer(CoeffSeries([1.0, -0.5], tail_bound=1e-8), good_g, E_ONE, 0.1)
+    # f(0) = -1e-9 passes the f(0) != 0 guard, but root factoring snaps the
+    # root 1e-9 to 0, where the normalizing scalar conj(B(0)) would vanish
+    with pytest.raises(InvalidInputError, match="root within"):
+        steer(CoeffSeries([-1e-9, 1.0]), good_g, E_ONE, 0.1)
 
 
 def test_steer_is_deterministic():
