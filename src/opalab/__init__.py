@@ -45,12 +45,12 @@ from .series import (
     zero_free_on_closed_disc,
 )
 from .spaces import (
-    DIRICHLET,
-    HARDY,
+    SPACES,
     AlphaWeight,
     dirichlet_integral,
     inner_product_alpha,
     norm_alpha,
+    space_weight,
 )
 from .steer import AchievedErrors, SteerResult, StructuredProduct, opa_search_m, steer
 from .zerofree import ZeroFreeApproxResult, ZeroFreeTrace, simultaneous_zero_free

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from collections import namedtuple
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,7 +32,7 @@ from .serialize import (
     targets_from_json,
     to_jsonable,
 )
-from .spaces import AlphaWeight
+from .spaces import SPACES, AlphaWeight, space_weight
 from .steer import steer
 from .zerofree import simultaneous_zero_free
 
@@ -53,86 +54,96 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+# One value of a command: its flag, else the config file, else ``default``.
+# A REQUIRED setting has no default, and the command fails without a value.
+Setting = namedtuple("Setting", "name cast default help choices", defaults=(None,))
+REQUIRED = object()
+_SPACE = Setting("space", str, "hardy", "function space", tuple(SPACES))
+_ALPHA = Setting("alpha", float, 0.0, "space weight exponent")
+
+SETTINGS = {
+    "opa solve": (Setting("n", int, REQUIRED, "approximant order"), _ALPHA),
+    "opa converge": (
+        Setting("n_max", int, REQUIRED, "largest order"),
+        _ALPHA,
+        Setting("probes", int, 256, "circle probe count"),
+        Setting("interior_radius", float, 0.9, "radius of the 16-point interior probe ring"),
+    ),
+    "rudin build": (
+        _SPACE,
+        Setting("eps", float, REQUIRED, "off-neighborhood tolerance"),
+        Setting("peak", float, 12.0, "hardy peak exponent"),
+        Setting("levels", int, 4, "dirichlet nesting depth"),
+        Setting("nodes_per_arc", int, 64, "dirichlet quadrature nodes per arc"),
+    ),
+    "rudin capacity": (Setting("nodes", int, 128, "nodes per arc"),),
+    "zerofree approx": (
+        Setting("eps", float, REQUIRED, "norm and pointwise budget"),
+        _SPACE,
+        Setting("boundary_eps", float, None, "tighter pointwise gate (default eps)"),
+    ),
+    "steer": (Setting("eps", float, REQUIRED, "tracking budget"), _SPACE),
+    "selftest": (),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opalab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version="opalab " + __version__)
     sub = parser.add_subparsers(dest="group", metavar="command")
 
-    def common(p):
+    def command(subparsers, name, help_text):
+        p = subparsers.add_parser(name.split()[-1], help=help_text)
+        for s in SETTINGS[name]:
+            shown = s.help
+            if s.default not in (None, REQUIRED):
+                shown += " (default %s)" % (s.default,)
+            p.add_argument(_flag(s.name), dest=s.name, type=s.cast, choices=s.choices, help=shown)
         p.add_argument("--out", help="artifact file path (default runs/<timestamp>-<command>.json)")
         p.add_argument("--config", help="key=value file with option defaults; flags win")
+        return p
 
     opa = sub.add_parser("opa", help="reciprocal least-squares approximants")
     opa_sub = opa.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    solve = opa_sub.add_parser("solve", help="one approximant order")
+    solve = command(opa_sub, "opa solve", "one approximant order")
     solve.add_argument("--f", required=True, help="coefficient JSON for f")
-    solve.add_argument("--n", type=int, help="approximant order")
-    solve.add_argument("--alpha", type=float, help="space weight exponent (default 0)")
     solve.add_argument("--solver", choices=["dense", "toeplitz"], help="accepted and ignored")
-    common(solve)
 
-    conv = opa_sub.add_parser("converge", help="error profile over orders 0..n-max")
+    conv = command(opa_sub, "opa converge", "error profile over orders 0..n-max")
     conv.add_argument("--f", required=True, help="coefficient JSON for f")
-    conv.add_argument("--n-max", dest="n_max", type=int, help="largest order")
-    conv.add_argument("--alpha", type=float, help="space weight exponent (default 0)")
-    conv.add_argument("--probes", type=int, help="circle probe count (default 256)")
-    conv.add_argument(
-        "--interior-radius", dest="interior_radius", type=float,
-        help="radius of the 16-point interior probe ring (default 0.9)",
-    )
-    common(conv)
 
     rudin = sub.add_parser("rudin", help="certified peak functions and capacity")
     rudin_sub = rudin.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    build = rudin_sub.add_parser("build", help="peak function on a boundary set")
-    build.add_argument("--space", choices=["hardy", "dirichlet"], help="default hardy")
+    build = command(rudin_sub, "rudin build", "peak function on a boundary set")
     build.add_argument("--set", dest="set_path", required=True, help="peak-set JSON (points)")
     build.add_argument("--u", dest="u_path", required=True, help="neighborhood JSON (arcs)")
-    build.add_argument("--eps", type=float, help="off-neighborhood tolerance")
-    build.add_argument("--peak", type=float, help="hardy peak exponent (default 12)")
-    build.add_argument("--levels", type=int, help="dirichlet nesting depth (default 4)")
-    build.add_argument(
-        "--nodes-per-arc", dest="nodes_per_arc", type=int,
-        help="dirichlet quadrature nodes per arc (default 64)",
-    )
-    common(build)
 
-    cap = rudin_sub.add_parser("capacity", help="equilibrium measure of an arc set")
+    cap = command(rudin_sub, "rudin capacity", "equilibrium measure of an arc set")
     cap.add_argument("--set", dest="set_path", required=True, help="arc-set JSON")
-    cap.add_argument("--nodes", type=int, help="nodes per arc (default 128)")
     cap.add_argument(
         "--iterations", type=int,
         help="accepted and ignored: the minimizer comes from one linear solve",
     )
-    common(cap)
 
     zf = sub.add_parser("zerofree", help="simultaneous zero-free approximation")
     zf_sub = zf.add_subparsers(dest="subcommand", metavar="subcommand")
-    approx = zf_sub.add_parser("approx", help="certified zero-free P near g with targets on E")
+    approx = command(zf_sub, "zerofree approx", "certified zero-free P near g with targets on E")
     approx.add_argument("--g", required=True, help="coefficient JSON for g")
     approx.add_argument("--set", dest="set_path", required=True, help="point-set JSON for E")
     approx.add_argument("--targets", required=True, help="target JSON {angle: value}")
-    approx.add_argument("--eps", type=float, help="norm and pointwise budget")
-    approx.add_argument("--space", choices=["hardy", "dirichlet"], help="default hardy")
-    approx.add_argument(
-        "--boundary-eps", dest="boundary_eps", type=float,
-        help="tighter pointwise gate (default eps)",
-    )
-    common(approx)
 
-    st = sub.add_parser("steer", help="steer reciprocal approximant boundary values")
+    st = command(sub, "steer", "steer reciprocal approximant boundary values")
     st.add_argument("--f", required=True, help="coefficient JSON for f")
     st.add_argument("--g", required=True, help="coefficient JSON for the boundary goal g")
     st.add_argument("--set", dest="set_path", required=True, help="point-set JSON for E")
-    st.add_argument("--eps", type=float, help="tracking budget")
-    st.add_argument("--space", choices=["hardy", "dirichlet"], help="default hardy")
-    common(st)
 
-    self_p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(self_p)
-
+    command(sub, "selftest", "run the built-in invariant suite")
     return parser
 
 
@@ -155,17 +166,26 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
-def _setting(args, config: dict, name: str, builtin, cast):
-    """Layering: built-in default, then config file, then explicit flag."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        try:
-            return cast(config[name])
-        except (TypeError, ValueError):
-            raise InvalidInputError("config value for %s is not a valid %s" % (name, cast.__name__))
-    return builtin
+def _resolve(args, command: str, config: dict) -> None:
+    """Set each of the command's settings on ``args``: flag, then config file,
+    then default."""
+    for s in SETTINGS[command]:
+        if getattr(args, s.name) is not None:
+            continue
+        if s.name in config:
+            try:
+                value = s.cast(config[s.name])
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    "config value for %s is not a valid %s" % (s.name, s.cast.__name__)
+                )
+        elif s.default is REQUIRED:
+            raise InvalidInputError(
+                "%s needs %s (or %s in the config file)" % (command, _flag(s.name), s.name)
+            )
+        else:
+            value = s.default
+        setattr(args, s.name, value)
 
 
 def _artifact_path(args, command: str) -> str:
@@ -223,14 +243,10 @@ def _load_tree(path: str) -> dict:
         raise InvalidInputError("%s is not valid JSON: %s" % (path, exc))
 
 
-def _cmd_opa_solve(args, config):
+def _cmd_opa_solve(args):
     f = _load_series(args.f)
-    n = _setting(args, config, "n", None, int)
-    if n is None:
-        raise InvalidInputError("opa solve needs --n (or n in the config file)")
-    alpha = _setting(args, config, "alpha", 0.0, float)
-    result = opa_solve(f, int(n), AlphaWeight(alpha))
-    inputs = {"f": f, "n": int(n), "alpha": alpha}
+    result = opa_solve(f, args.n, AlphaWeight(args.alpha))
+    inputs = {"f": f, "n": args.n, "alpha": args.alpha}
     outputs = {
         "Q": result.Q,
         "residual": result.residual,
@@ -241,72 +257,57 @@ def _cmd_opa_solve(args, config):
     return inputs, outputs, {}, None
 
 
-def _cmd_opa_converge(args, config):
+def _cmd_opa_converge(args):
     f = _load_series(args.f)
-    n_max = _setting(args, config, "n_max", None, int)
-    if n_max is None:
-        raise InvalidInputError("opa converge needs --n-max (or n_max in the config file)")
-    alpha = _setting(args, config, "alpha", 0.0, float)
-    probes = _setting(args, config, "probes", 256, int)
-    radius = _setting(args, config, "interior_radius", 0.9, float)
-    circle = np.linspace(0.0, 2.0 * np.pi, max(probes, 8), endpoint=False)
-    ring = [radius * np.exp(2j * np.pi * k / 16.0) for k in range(16)]
-    rows = convergence_profile(f, int(n_max), AlphaWeight(alpha), circle, ring)
+    circle = np.linspace(0.0, 2.0 * np.pi, max(args.probes, 8), endpoint=False)
+    ring = [args.interior_radius * np.exp(2j * np.pi * k / 16.0) for k in range(16)]
+    rows = convergence_profile(f, args.n_max, AlphaWeight(args.alpha), circle, ring)
     inputs = {
-        "f": f, "n_max": int(n_max), "alpha": alpha,
-        "probes": probes, "interior_radius": radius,
+        "f": f, "n_max": args.n_max, "alpha": args.alpha,
+        "probes": args.probes, "interior_radius": args.interior_radius,
     }
     table = [[r["n"], r["residual"], r["sup_circle"], r["max_interior"]] for r in rows]
     csv_payload = (["n", "residual", "sup_circle", "max_interior"], table)
     return inputs, {"profile": rows}, {"orders": len(rows)}, csv_payload
 
 
-def _cmd_rudin_build(args, config):
+def _cmd_rudin_build(args):
     E = boundary_set_from_json(_load_tree(args.set_path))
     U = boundary_set_from_json(_load_tree(args.u_path))
-    space = _setting(args, config, "space", "hardy", str)
-    eps = _setting(args, config, "eps", None, float)
-    if eps is None:
-        raise InvalidInputError("rudin build needs --eps (or eps in the config file)")
-    inputs = {"space": space, "set": E, "u": U, "eps": eps}
-    if space == "hardy":
-        peak = _setting(args, config, "peak", 12.0, float)
-        rf = hardy_rudin(E, U, eps=eps, peak=peak)
-        inputs["peak"] = peak
+    inputs = {"space": args.space, "set": E, "u": U, "eps": args.eps}
+    if space_weight(args.space).alpha == 0.0:
+        rf = hardy_rudin(E, U, eps=args.eps, peak=args.peak)
+        inputs["peak"] = args.peak
     else:
-        levels = _setting(args, config, "levels", 4, int)
-        nodes = _setting(args, config, "nodes_per_arc", 64, int)
-        rf = dirichlet_rudin(E, U, eps=eps, levels=levels, nodes_per_arc=nodes)
-        inputs["levels"] = levels
-        inputs["nodes_per_arc"] = nodes
+        rf = dirichlet_rudin(
+            E, U, eps=args.eps, levels=args.levels, nodes_per_arc=args.nodes_per_arc
+        )
+        inputs["levels"] = args.levels
+        inputs["nodes_per_arc"] = args.nodes_per_arc
     outputs = {"h": rf.h, "completion": rf.completion, "certified": rf.certified}
     diag = {"h_degree": len(rf.h.coeffs) - 1}
     return inputs, outputs, diag, None
 
 
-def _cmd_rudin_capacity(args, config):
+def _cmd_rudin_capacity(args):
     arcs = boundary_set_from_json(_load_tree(args.set_path))
-    nodes = _setting(args, config, "nodes", 128, int)
-    measure = equilibrium_measure(arcs, nodes)
-    inputs = {"set": arcs, "nodes": nodes}
+    measure = equilibrium_measure(arcs, args.nodes)
+    inputs = {"set": arcs, "nodes": args.nodes}
     table = [[float(t), float(w)] for t, w in zip(measure.nodes, measure.weights)]
     return inputs, measure, {"node_count": len(table)}, (["angle", "weight"], table)
 
 
-def _cmd_zerofree_approx(args, config):
+def _cmd_zerofree_approx(args):
     g = _load_series(args.g)
     E = boundary_set_from_json(_load_tree(args.set_path))
     targets = targets_from_json(_load_tree(args.targets))
-    eps = _setting(args, config, "eps", None, float)
-    if eps is None:
-        raise InvalidInputError("zerofree approx needs --eps (or eps in the config file)")
-    space = _setting(args, config, "space", "hardy", str)
-    boundary_eps = _setting(args, config, "boundary_eps", None, float)
-    result = simultaneous_zero_free(g, targets, E, eps, space, boundary_eps=boundary_eps)
+    result = simultaneous_zero_free(
+        g, targets, E, args.eps, args.space, boundary_eps=args.boundary_eps
+    )
     inputs = {
         "g": g, "set": E,
         "targets": {"%r" % t: v for t, v in targets.items()},
-        "eps": eps, "space": space, "boundary_eps": boundary_eps,
+        "eps": args.eps, "space": args.space, "boundary_eps": args.boundary_eps,
     }
     outputs = {
         "P": result.P,
@@ -317,20 +318,16 @@ def _cmd_zerofree_approx(args, config):
     return inputs, outputs, {"trace": result.trace}, None
 
 
-def _cmd_steer(args, config):
+def _cmd_steer(args):
     f = _load_series(args.f)
     g = _load_series(args.g)
     E = boundary_set_from_json(_load_tree(args.set_path))
-    eps = _setting(args, config, "eps", None, float)
-    if eps is None:
-        raise InvalidInputError("steer needs --eps (or eps in the config file)")
-    space = _setting(args, config, "space", "hardy", str)
-    result = steer(f, g, E, eps, space)
-    inputs = {"f": f, "g": g, "set": E, "eps": eps, "space": space}
+    result = steer(f, g, E, args.eps, args.space)
+    inputs = {"f": f, "g": g, "set": E, "eps": args.eps, "space": args.space}
     return inputs, result, {"P_degree": len(result.F_structured.P.coeffs) - 1}, None
 
 
-def _cmd_selftest(args, config):
+def _cmd_selftest(args):
     from .series import CoeffSeries, evaluate, exp_series
     from .blaschke import blaschke_series
     from .steer import steer as steer_fn
@@ -386,33 +383,30 @@ def _cmd_selftest(args, config):
 
 
 _DISPATCH = {
-    ("opa", "solve"): _cmd_opa_solve,
-    ("opa", "converge"): _cmd_opa_converge,
-    ("rudin", "build"): _cmd_rudin_build,
-    ("rudin", "capacity"): _cmd_rudin_capacity,
-    ("zerofree", "approx"): _cmd_zerofree_approx,
-    ("steer", None): _cmd_steer,
-    ("selftest", None): _cmd_selftest,
+    "opa solve": _cmd_opa_solve,
+    "opa converge": _cmd_opa_converge,
+    "rudin build": _cmd_rudin_build,
+    "rudin capacity": _cmd_rudin_capacity,
+    "zerofree approx": _cmd_zerofree_approx,
+    "steer": _cmd_steer,
+    "selftest": _cmd_selftest,
 }
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.group is None:
-        parser.print_usage(sys.stderr)
-        return EX_USAGE
     sub = getattr(args, "subcommand", None)
-    handler = _DISPATCH.get((args.group, sub))
+    command = args.group if sub is None else "%s %s" % (args.group, sub)
+    handler = _DISPATCH.get(command)
     if handler is None:
         parser.print_usage(sys.stderr)
         return EX_USAGE
-    command = args.group if sub is None else "%s %s" % (args.group, sub)
 
     try:
-        config = _load_config(getattr(args, "config", None))
+        _resolve(args, command, _load_config(args.config))
         started = time.perf_counter()
-        inputs, outputs, diagnostics, csv_payload = handler(args, config)
+        inputs, outputs, diagnostics, csv_payload = handler(args)
         elapsed = time.perf_counter() - started
     except DomainError as exc:
         _print_error(exc)

@@ -69,14 +69,6 @@ class CoeffSeries:
         """l2 norm of the stored coefficients; the tail is not included."""
         return float(np.linalg.norm(self.coeffs))
 
-    def pad(self, degree: int) -> "CoeffSeries":
-        """Extend with zero coefficients up to ``degree`` (no-op if shorter)."""
-        if degree <= self.truncation_degree:
-            return self
-        out = np.zeros(degree + 1, dtype=np.complex128)
-        out[: len(self.coeffs)] = self.coeffs
-        return CoeffSeries(out, self.tail_bound)
-
     def __add__(self, other: "CoeffSeries") -> "CoeffSeries":
         if not isinstance(other, CoeffSeries):
             return NotImplemented

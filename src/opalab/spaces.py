@@ -27,8 +27,14 @@ class AlphaWeight:
         object.__setattr__(self, "alpha", a)
 
 
-HARDY = AlphaWeight(0.0)
-DIRICHLET = AlphaWeight(1.0)
+SPACES = {"hardy": AlphaWeight(0.0), "dirichlet": AlphaWeight(1.0)}
+
+
+def space_weight(name: str) -> AlphaWeight:
+    """The weight of the space called ``name`` in ``SPACES``."""
+    if isinstance(name, str) and name in SPACES:
+        return SPACES[name]
+    raise InvalidParameterError("space must be " + " or ".join(map(repr, SPACES)))
 
 
 def coefficient_weights(n_terms: int, w: AlphaWeight) -> np.ndarray:

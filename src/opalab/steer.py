@@ -27,8 +27,8 @@ from .errors import (
 )
 from .opa import _opa_orders
 from .series import CoeffSeries, evaluate, multiply
-from .spaces import AlphaWeight, norm_alpha
-from .zerofree import _normalize_targets, _space_alpha, simultaneous_zero_free
+from .spaces import AlphaWeight, norm_alpha, space_weight
+from .zerofree import _normalize_targets, simultaneous_zero_free
 
 M_SEARCH_CAP = 16384
 DELTA_ROUNDS = 6
@@ -102,7 +102,7 @@ def steer(
     0.9*(eps/2)*min|1/g|^2, the linearization of |g - 1/P| <= eps/2 around
     P = 1/g, and halves until the measured sup on E is under eps/2.
     """
-    w = _space_alpha(space)
+    w = space_weight(space)
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
     if E.positive_measure or not E.points:
@@ -121,7 +121,7 @@ def steer(
 
     factorization = polynomial_inner_outer(f)
     inner_zeros = factorization.inner_zeros
-    if inner_zeros and space == "dirichlet":
+    if inner_zeros and w.alpha == 1.0:
         raise InvalidParameterError(
             "dirichlet steering is only defined for f with no zeros in the disc"
         )

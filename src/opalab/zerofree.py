@@ -60,7 +60,7 @@ from .series import (
     multiply,
     zero_free_on_closed_disc,
 )
-from .spaces import AlphaWeight, norm_alpha
+from .spaces import AlphaWeight, norm_alpha, space_weight
 
 LEVEL_CAP = 512
 DEGREE_CAP = 8192
@@ -77,6 +77,10 @@ FLOOR_PENALTY = 500.0
 POINT_PENALTY = 1.0
 NEEDLE_MAXITER = 8
 POLISH_ROUNDS = 8
+# sum |F_k| bounds |F| on the closed disc.  Past this cap exp(F), its
+# products or its squared norms could overflow; the polish of overlapping
+# needles can diverge that far, and the attempt is then dropped.
+F_L1_CAP = 300.0
 
 _G = 1 << NEEDLE_GRID_LOG2
 _ANG = 2.0 * np.pi * np.arange(_G) / _G
@@ -97,14 +101,6 @@ class ZeroFreeApproxResult:
     space_error: float
     boundary_error: float
     trace: ZeroFreeTrace
-
-
-def _space_alpha(space: str) -> AlphaWeight:
-    if space == "hardy":
-        return AlphaWeight(0.0)
-    if space == "dirichlet":
-        return AlphaWeight(1.0)
-    raise InvalidParameterError("space must be 'hardy' or 'dirichlet'")
 
 
 def _analytic_mask(band: int) -> np.ndarray:
@@ -287,6 +283,8 @@ def _normalize_targets(target, E: BoundarySet) -> np.ndarray:
         out = np.asarray(target, dtype=np.complex128)
         if out.shape != pts.shape:
             raise InvalidInputError("target values must align with the points of E")
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError("targets must be finite")
     if np.any(np.abs(out) == 0.0):
         raise InvalidInputError("targets must be nonzero everywhere on E")
     return out
@@ -339,13 +337,16 @@ def simultaneous_zero_free(
 ) -> ZeroFreeApproxResult:
     """Produce certified zero-free P with ||P-g|| < eps and |P-target| < eps on E.
 
-    ``boundary_eps`` tightens only the pointwise gate (used by the steering
-    construction, which needs boundary accuracy finer than the norm budget).
-    The retry schedule doubles needle level and multiplier degree in step up
-    to the caps, then re-walks the degree cap with wider needles; exhaustion
-    raises a budget error carrying the best errors achieved.
+    ``space`` names an entry of ``spaces.SPACES``.  ``boundary_eps`` tightens
+    only the pointwise gate (used by the steering construction, which needs
+    boundary accuracy finer than the norm budget).  The retry schedule
+    doubles needle level and multiplier degree in step up to the caps, then
+    re-walks the degree cap with wider needles; an attempt whose polish
+    drives sum |F_k| past F_L1_CAP is dropped.  Exhaustion raises a budget
+    error carrying the best errors achieved and the dropped (level, degree)
+    attempts under ``diverged``.
     """
-    w = _space_alpha(space)
+    w = space_weight(space)
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
     gate = boundary_eps if boundary_eps is not None else eps
@@ -377,7 +378,7 @@ def simultaneous_zero_free(
             {"space_error": space_error, "boundary_error": boundary_error},
         )
 
-    if space == "dirichlet":
+    if w.alpha == 1.0:
         _dirichlet_point_bound_abort(g, targets, zs, eps, gate, len(g.coeffs) - 1)
 
     attempts = []
@@ -392,6 +393,7 @@ def simultaneous_zero_free(
 
     w2 = np.abs(eval_on_circle_grid(g_r, NEEDLE_GRID_LOG2)) ** 2
     best = {"space_error": np.inf, "boundary_error": np.inf, "level": 0, "degree": 0}
+    diverged = []
     for level, degree in attempts:
         band = degree // 2
         needles = [
@@ -403,14 +405,15 @@ def simultaneous_zero_free(
         for _, _, c in needles:
             F += c
 
-        def assemble(F_arr):
-            phi = exp_series(CoeffSeries(F_arr, 0.0), degree)
-            return CoeffSeries(multiply(g_r, phi).coeffs, 0.0)
-
-        P = assemble(F)
-        for _ in range(POLISH_ROUNDS):
+        for polish in range(POLISH_ROUNDS + 1):
+            if not np.sum(np.abs(F)) <= F_L1_CAP:
+                P = None
+                break
+            phi = exp_series(CoeffSeries(F, 0.0), degree)
+            P = CoeffSeries(multiply(g_r, phi).coeffs, 0.0)
             P_vals = evaluate(P, zs)
-            if float(np.max(np.abs(P_vals - targets))) < gate:
+            boundary_error = float(np.max(np.abs(P_vals - targets)))
+            if boundary_error < gate or polish == POLISH_ROUNDS:
                 break
             # downstream truncation moved the point values; re-add the missing
             # log-ratio on the needles already fitted for this attempt
@@ -418,12 +421,11 @@ def simultaneous_zero_free(
             for i, p in enumerate(E.points):
                 ratio = targets[i] / P_vals[i]
                 shift[float(p)] = complex(np.log(np.abs(ratio)) + 1j * np.angle(ratio))
-            F = F + sum(
-                (shift[p] / v) * c for p, v, c in needles if float(p) in shift
-            )
-            P = assemble(F)
+            F = F + sum((shift[p] / v) * c for p, v, c in needles)
+        if P is None:
+            diverged.append((level, degree))
+            continue
         space_error = norm_alpha(P - g, w) + g.tail_bound
-        boundary_error = float(np.max(np.abs(evaluate(P, zs) - targets)))
         if space_error + boundary_error < best["space_error"] + best["boundary_error"]:
             best = {
                 "space_error": space_error,
@@ -439,5 +441,5 @@ def simultaneous_zero_free(
                     P, report, space_error, boundary_error, trace
                 )
     raise ApproximationBudgetError(
-        "needle level and degree budgets exhausted", dict(best)
+        "needle level and degree budgets exhausted", {**best, "diverged": diverged}
     )

@@ -191,6 +191,17 @@ def test_domain_errors_exit_2_with_json_on_stderr(files, capsys):
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
 
+    # json.load reads NaN in a targets file too
+    nan_targets = files["dir"] / "nan_t.json"
+    nan_targets.write_text('{"targets": [[0.0, NaN, 0.0]]}')
+    code, _ = run(
+        ["zerofree", "approx", "--g", files["two"], "--set", files["point"],
+         "--targets", str(nan_targets), "--eps", "0.05"],
+        files["dir"] / "never6.json",
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+
 
 def test_budget_errors_exit_3_with_diagnostics(files, capsys):
     out = files["dir"] / "never3.json"
@@ -257,6 +268,21 @@ def test_config_file_layering(files, tmp_path, capsys):
 
     missing = run(["opa", "solve", "--f", files["f"]], tmp_path / "c3.json")
     assert missing[0] == 2
+    capsys.readouterr()
+
+
+def test_space_outside_the_table_is_refused(files, tmp_path, capsys):
+    cfg = tmp_path / "space.cfg"
+    cfg.write_text("space = foo\neps = 0.05\n")
+    build = ["rudin", "build", "--set", files["point"], "--u", files["small_arc"]]
+    out = tmp_path / "never.json"
+    code, _ = run(build + ["--config", str(cfg)], out)
+    assert code == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameterError"
+    with pytest.raises(SystemExit) as exc:
+        main(build + ["--eps", "0.05", "--space", "foo"])
+    assert exc.value.code == 64
     capsys.readouterr()
 
 

@@ -379,3 +379,28 @@ def test_rejections():
         simultaneous_zero_free(CoeffSeries([1.0, -0.5]), ok_target, E_ONE, 0.1, space="pdq")
     with pytest.raises(InvalidInputError):
         simultaneous_zero_free(CoeffSeries([1.0, -0.5]), [1.0, 1.0], E_ONE, 0.1)
+    for bad in (np.nan, np.inf, complex(1.0, -np.inf)):
+        with pytest.raises(InvalidInputError):
+            simultaneous_zero_free(CoeffSeries([1.0, 0.5]), [bad], E_ONE, 0.05)
+        with pytest.raises(InvalidInputError):
+            simultaneous_zero_free(CoeffSeries([1.0, 0.5]), {0.0: bad}, E_ONE, 0.05)
+
+
+def test_diverging_polish_ends_the_attempt_and_the_schedule_goes_on(monkeypatch):
+    # 64 points of a Cantor set on [0, pi/2]: at level 8 and 16 the needles
+    # overlap, and the one-needle-per-point polish drives sum |F_k| past
+    # F_L1_CAP, beyond which exp(F) overflows.
+    monkeypatch.setattr(zerofree, "LEVEL_CAP", 16)
+    monkeypatch.setattr(zerofree, "DEGREE_CAP", 128)
+    cells = [(0.0, 1.0)]
+    for _ in range(5):
+        cells = [c for a, b in cells for c in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
+    points = sorted({np.pi / 2 * t for cell in cells for t in cell})
+    rng = np.random.default_rng(0)
+    targets = np.exp(rng.uniform(-0.5, 0.5, 64) + 1j * rng.uniform(-1.0, 1.0, 64))
+    with pytest.raises(ApproximationBudgetError) as exc:
+        simultaneous_zero_free(
+            CoeffSeries([1.0, 0.5]), list(targets), BoundarySet.from_points(points), 0.1
+        )
+    diverged = exc.value.diagnostics["diverged"]
+    assert (16, 128) in diverged and (8, 128) in diverged
