@@ -142,8 +142,8 @@ def bump_profile(
     BUMP_MIN_CELLS grid cells cannot be represented and raise a resolution
     error suggesting a larger grid.
     """
-    if peak <= 0.0 or mass_target <= 0.0:
-        raise InvalidParameterError("peak and mass_target must be positive")
+    if not (0.0 < peak < np.inf and 0.0 < mass_target < np.inf):
+        raise InvalidParameterError("peak and mass_target must be positive and finite")
     _require_point_peaks(E)
     G = 1 << grid_log2
     if E.is_empty:
@@ -153,7 +153,6 @@ def bump_profile(
     w_mass = 0.9 * (mass_target / n_peaks) * TWO_PI / (peak * BUMP_INTEGRAL)
     width = min(0.999 * margin, w_mass)
     cell = TWO_PI / G
-    theta = np.arange(G) * cell
     for _ in range(8):
         if width < BUMP_MIN_CELLS * cell:
             raise ResolutionExceededError(
@@ -162,9 +161,12 @@ def bump_profile(
                 {"width": width, "grid_log2": grid_log2, "min_cells": BUMP_MIN_CELLS},
             )
         u = np.zeros(G)
+        reach = int(np.ceil(width / cell)) + 1
         for p in E.points:
-            delta = (theta - p + np.pi) % TWO_PI - np.pi
-            u += peak * _bump_phi(delta / width)
+            # the bump vanishes past `width`: evaluate it on the cells it covers
+            cells = np.unique((round(p / cell) + np.arange(-reach, reach + 1)) % G)
+            delta = (cells * cell - p + np.pi) % TWO_PI - np.pi
+            u[cells] += peak * _bump_phi(delta / width)
         bf = BoundaryFunction(u, grid_log2)
         if bf.mass < mass_target:
             return bf
@@ -293,8 +295,8 @@ def hardy_rudin(
     2**CERT_GRID_LOG2 and refines by a factor 4 per failure, with two
     certification retries and the grid capped at 2**GRID_CAP_LOG2.
     """
-    if eps <= 0.0 or peak <= 0.0:
-        raise InvalidParameterError("eps and peak must be positive")
+    if not (0.0 < eps < np.inf and 0.0 < peak < np.inf):
+        raise InvalidParameterError("eps and peak must be positive and finite")
     _require_point_peaks(E)
     if E.is_empty:
         return _trivial_peak(E, U, dirichlet=False)
@@ -465,8 +467,8 @@ def dirichlet_rudin(
     bound fails, the first-level width shrinks by 4 and the construction
     retries, up to 12 attempts.
     """
-    if eps <= 0.0:
-        raise InvalidParameterError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise InvalidParameterError("eps must be positive and finite")
     if levels < 2:
         raise InvalidParameterError("at least 2 nesting levels are required")
     _require_point_peaks(E)

@@ -63,8 +63,8 @@ def _search(P: CoeffSeries, target, E: BoundarySet, tol: float, w: AlphaWeight):
     One walk over the orders 0..M_SEARCH_CAP stops at the first that
     passes; Q_m is copied out of the walk's buffers before it stops.
     """
-    if tol <= 0.0:
-        raise InvalidParameterError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameterError("tol must be positive and finite")
     refs = _normalize_targets(target, E)
     thetas = np.asarray(E.points)
     powers = np.ones((len(thetas), 0))
@@ -103,8 +103,8 @@ def steer(
     P = 1/g, and halves until the measured sup on E is under eps/2.
     """
     w = space_weight(space)
-    if eps <= 0.0:
-        raise InvalidParameterError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise InvalidParameterError("eps must be positive and finite")
     if E.positive_measure or not E.points:
         raise InvalidInputError("steering needs a finite nonempty point set E")
     for series, name in ((f, "f"), (g, "g")):

@@ -25,7 +25,10 @@ resolve buys nothing.  The module's own ``minimize`` takes the steps; every
 fit resolves through that one global name, so a profiler that rebinds it
 sees each fit.  The fit sees exp(F) on a 2^NEEDLE_GRID_LOG2 grid, not the
 exp series truncated at the multiplier degree that ships; the polish rounds
-and the zero-free certificate handle that truncation.  The step
+and the zero-free certificate handle that truncation.  The cost and its
+gradient are grid sums, but the Gauss-Newton matrix depends only on the
+frequencies up to the band, so it is summed exactly on a band-sized subgrid
+and a step's matrix costs what the band does, not the grid.  The step
 count NEEDLE_MAXITER sets how far the needles converge, and with it the
 approximant order m that steering needs: fully converged needles leave
 spectral mass past the degree, the truncated exp misses the target at the
@@ -159,13 +162,35 @@ def _needle_objective(
     and its exact gradient 2 J^T r, gauss_newton(p) the matrix 2 J^T J, x0 is
     the tent/Gaussian start, and spectrum(p) is _G times the needle's
     coefficients 0..band.
+
+    The r1 block of J^T J is sum_j m_j conj(H_j) H_j^T over the grid, with
+    m = (w2/G) exp(2 Re F).  conj(H_p) H_q holds only frequencies |d| <= band,
+    so only those of m enter, and the sum equals (G/L) sum_i of the same
+    terms at the points theta_i = 2 pi i / L, with m cut to |d| <= band:
+    L = min(G, least power of two above 2 band) leaves no alias at d = 0.
+    At L = G the weight is used as it is.  The floor block keeps the grid
+    points where the floor is active.  The ladder must end short of pi (past
+    it the outer hats vanish and the matrix is singular), and the band must
+    stay within the grid's Nyquist frequency, where the real-FFT spectra end.
     """
+    nodes = np.asarray(NODE_LADDER, dtype=float) * (base_width / LADDER_SCALE)
+    if nodes[-1] >= np.pi:
+        raise InvalidParameterError(
+            "needle ladder of base width %g reaches pi; its outer hats vanish" % base_width
+        )
+    if band > _G // 2:
+        raise InvalidParameterError(
+            "needle band %d exceeds the grid Nyquist frequency %d" % (band, _G // 2)
+        )
     hats = _hat_basis(theta, base_width)
     nn = len(hats)
-    S = np.fft.fft(hats, axis=1)[:, : band + 1] * _analytic_mask(band)
+    S = np.fft.rfft(hats, axis=1)[:, : band + 1] * _analytic_mask(band)
     H = np.fft.ifft(S, _G, axis=1)
+    L = min(_G, 1 << (2 * band).bit_length())
+    H_L = np.ascontiguousarray(H[:, :: _G // L])
     point_row = S @ np.exp(1j * np.arange(band + 1) * theta) / _G
-    sw = np.sqrt(w2 / _G)
+    wg = w2 / _G
+    sw = np.sqrt(wg)
     floor_w = FLOOR_PENALTY / _G
 
     def spectrum(p: np.ndarray) -> np.ndarray:
@@ -183,25 +208,26 @@ def _needle_objective(
             + floor_w * float(viol @ viol)
             + POINT_PENALTY * abs(dv) ** 2
         )
-        a = np.conj(H @ (sw * B * np.conj(r1))) + POINT_PENALTY * np.conj(point_row) * dv
-        Hv = H @ viol
-        grad = 2.0 * np.concatenate([a.imag + floor_w * Hv.imag, a.real - floor_w * Hv.real])
-        return E, grad
+        b = np.conj(H @ (sw * B * np.conj(r1) - floor_w * viol))
+        b += POINT_PENALTY * np.conj(point_row) * dv
+        return E, 2.0 * np.concatenate([b.imag, b.real])
 
     def gauss_newton(p: np.ndarray) -> np.ndarray:
         F = (p[nn:] + 1j * p[:nn]) @ H
-        # |d r1 / d c| = sw |exp(F)| |H|: the phase of exp(F) cancels in M
-        mod = sw * np.exp(F.real)
+        # |d r1 / d c|^2 = (w2/G) |exp(F)|^2 |H|^2: the phase of exp(F) cancels
+        m = wg * np.exp(2.0 * F.real)
+        if L < _G:
+            # G/L times m cut to the band, at the L subgrid points
+            m = np.fft.irfft(np.fft.rfft(m)[: band + 1], L)
         M = POINT_PENALTY * np.outer(np.conj(point_row), point_row)
-        for s in range(0, _G, _GN_CHUNK):
-            K = H[:, s : s + _GN_CHUNK] * mod[s : s + _GN_CHUNK]
-            M += np.conj(K) @ K.T
+        for s in range(0, L, _GN_CHUNK):
+            K = H_L[:, s : s + _GN_CHUNK]
+            M += np.conj(K * m[s : s + _GN_CHUNK]) @ K.T
         Ha = H[:, F.real < -RE_FLOOR]
         R = np.concatenate([Ha.imag, -Ha.real])
         A = np.block([[M.real, M.imag], [-M.imag, M.real]]) + floor_w * (R @ R.T)
         return 2.0 * A
 
-    nodes = np.asarray(NODE_LADDER, dtype=float) * (base_width / LADDER_SCALE)
     x0 = np.concatenate([
         v.imag * np.maximum(0.0, 1.0 - nodes / base_width),
         v.real * np.exp(-((nodes / (base_width / 3.0)) ** 2)),
@@ -254,7 +280,8 @@ def _refined_needle(
     _needle_objective.  The profile is linear in its parameters and the
     completion, band limit and Hilbert transform are Fourier multipliers, so
     H is computed once per fit, the residual Jacobian is exact, and the
-    Gauss-Newton matrix is one 12 x 12 complex block built in grid chunks.
+    Gauss-Newton matrix is one 12 x 12 complex block summed on a subgrid of
+    about 2 band points, plus the floor rows.
 
     The fit scores exp(F) on the grid, not the truncated exp series that
     ships, and it stops after NEEDLE_MAXITER steps, short of convergence: the
@@ -347,11 +374,11 @@ def simultaneous_zero_free(
     attempts under ``diverged``.
     """
     w = space_weight(space)
-    if eps <= 0.0:
-        raise InvalidParameterError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise InvalidParameterError("eps must be positive and finite")
     gate = boundary_eps if boundary_eps is not None else eps
-    if gate <= 0.0:
-        raise InvalidParameterError("boundary_eps must be positive")
+    if not 0.0 < gate < np.inf:
+        raise InvalidParameterError("boundary_eps must be positive and finite")
     targets = _normalize_targets(target, E)
     zs = np.exp(1j * np.asarray(E.points))
 

@@ -203,6 +203,27 @@ def test_domain_errors_exit_2_with_json_on_stderr(files, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_budgets_exit_2(files, capsys, bad):
+    commands = [
+        ["steer", "--f", files["f_half"], "--g", files["two"], "--set", files["point"],
+         "--eps", bad],
+        ["rudin", "build", "--set", files["point"], "--u", files["small_arc"], "--eps", bad],
+        ["rudin", "build", "--set", files["point"], "--u", files["small_arc"], "--eps", "0.05",
+         "--peak", bad],
+        ["zerofree", "approx", "--g", files["two"], "--set", files["pair"],
+         "--targets", files["targets2"], "--eps", bad],
+        ["zerofree", "approx", "--g", files["two"], "--set", files["pair"],
+         "--targets", files["targets2"], "--eps", "0.05", "--boundary-eps", bad],
+    ]
+    for argv in commands:
+        out = files["dir"] / "never.json"
+        code, _ = run(argv, out)
+        assert code == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameterError"
+
+
 def test_budget_errors_exit_3_with_diagnostics(files, capsys):
     out = files["dir"] / "never3.json"
     code, _ = run(

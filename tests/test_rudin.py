@@ -27,7 +27,7 @@ from opalab import (
     hardy_rudin,
     neighborhood,
 )
-from opalab import opa
+from opalab import opa, rudin
 from opalab.series import eval_on_circle_grid
 
 E0 = BoundarySet.from_points([0.0])
@@ -102,10 +102,62 @@ def test_bump_support_shrinks_when_peak_doubles():
 def test_bump_needs_enough_grid_cells():
     with pytest.raises(ResolutionExceededError):
         bump_profile(E0, neighborhood(E0, 0.4), 12.0, 1e-4, 6)
-    with pytest.raises(InvalidParameterError):
-        bump_profile(E0, neighborhood(E0, 0.4), -1.0, 0.05, 10)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            bump_profile(E0, neighborhood(E0, 0.4), bad, 0.05, 10)
+        with pytest.raises(InvalidParameterError):
+            bump_profile(E0, neighborhood(E0, 0.4), 12.0, bad, 10)
     with pytest.raises(InvalidInputError):
         bump_profile(BoundarySet(arcs=((0.0, 0.1),)), BoundarySet.full_circle(), 2.0, 0.1, 10)
+
+
+def full_grid_bumps(E, U, peak, mass_target, grid_log2):
+    """bump_profile's width loop with every bump evaluated on the whole grid.
+
+    Returns the profile and the width it settled on."""
+    G = 1 << grid_log2
+    cell = 2.0 * np.pi / G
+    theta = np.arange(G) * cell
+    width = min(
+        0.999 * rudin._containing_arc_margin(E, U),
+        0.9 * (mass_target / len(E.points)) * 2.0 * np.pi / (peak * rudin.BUMP_INTEGRAL),
+    )
+    while True:
+        u = np.zeros(G)
+        for p in E.points:
+            u += peak * rudin._bump_phi(((theta - p + np.pi) % (2.0 * np.pi) - np.pi) / width)
+        if np.mean(u) < mass_target:
+            return u, width
+        width *= 0.9
+
+
+@pytest.mark.parametrize(
+    "points,q",
+    [
+        ([0.0], 14),  # the support wraps past angle 0
+        ([2.0 * np.pi - 1e-4], 14),  # and from the other side
+        ([0.5, 0.52], 14),  # two bumps that overlap
+        ([0.0, np.pi / 2], 20),
+    ],
+)
+def test_bump_on_its_support_matches_the_full_grid(points, q):
+    E = BoundarySet.from_points(points)
+    U = neighborhood(E, 0.3)
+    u = bump_profile(E, U, 12.0, 0.01, q)
+    want, _ = full_grid_bumps(E, U, 12.0, 0.01, q)
+    assert np.array_equal(u.grid_values, want)
+
+
+def test_bump_width_loop_matches_the_full_grid(monkeypatch):
+    # A bump integral understated by half starts the width at twice the
+    # mass budget, so the loop has to shrink it several times.
+    monkeypatch.setattr(rudin, "BUMP_INTEGRAL", 0.5 * rudin.BUMP_INTEGRAL)
+    E = BoundarySet.from_points([0.0, 3.0])
+    U = neighborhood(E, 0.4)
+    want, width = full_grid_bumps(E, U, 12.0, 0.05, 12)
+    start = 0.9 * (0.05 / 2) * 2.0 * np.pi / (12.0 * rudin.BUMP_INTEGRAL)
+    assert width < 0.9**5 * start
+    assert np.array_equal(bump_profile(E, U, 12.0, 0.05, 12).grid_values, want)
 
 
 def test_profile_type_rejects_negative_values():
@@ -212,8 +264,11 @@ def test_hardy_peak_deviation_improves_with_height():
 def test_hardy_peak_rejects_bad_domains():
     with pytest.raises(InvalidInputError):
         hardy_rudin(BoundarySet(arcs=((0.0, 0.2),)), BoundarySet.full_circle(), 0.05, 12.0)
-    with pytest.raises(InvalidParameterError):
-        hardy_rudin(E0, neighborhood(E0, 0.2), -0.05, 12.0)
+    for bad in (-0.05, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            hardy_rudin(E0, neighborhood(E0, 0.2), bad, 12.0)
+        with pytest.raises(InvalidParameterError):
+            hardy_rudin(E0, neighborhood(E0, 0.2), 0.05, bad)
     with pytest.raises(InvalidInputError):
         hardy_rudin(BoundarySet.from_points([1.0]), neighborhood(E0, 0.2), 0.05, 12.0)
 
@@ -373,7 +428,8 @@ def test_dirichlet_peak_single_point():
 def test_dirichlet_peak_rejects_arcs_and_bad_eps():
     with pytest.raises(InvalidInputError):
         dirichlet_rudin(BoundarySet(arcs=((0.0, 0.2),)), BoundarySet.full_circle(), 0.05)
-    with pytest.raises(InvalidParameterError):
-        dirichlet_rudin(E0, neighborhood(E0, 0.3), 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            dirichlet_rudin(E0, neighborhood(E0, 0.3), bad)
     with pytest.raises(InvalidParameterError):
         dirichlet_rudin(E0, neighborhood(E0, 0.3), 0.05, levels=1)

@@ -44,8 +44,9 @@ def test_order_search_grows_as_the_tolerance_tightens():
 
 
 def test_order_search_rejects_bad_inputs():
-    with pytest.raises(InvalidParameterError):
-        opa_search_m(CoeffSeries([1.0]), [1.0], E_ONE, 0.0, H2)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            opa_search_m(CoeffSeries([1.0]), [1.0], E_ONE, bad, H2)
     with pytest.raises(InvalidInputError):
         opa_search_m(CoeffSeries([1.0]), [], BoundarySet(), 1e-3, H2)
 
@@ -127,8 +128,9 @@ def test_steer_rejections():
         steer(CoeffSeries([1.0, -0.5]), CoeffSeries([1.0, -1.0]), E_ONE, 0.1)
     with pytest.raises(InvalidInputError):
         steer(CoeffSeries([1.0, -0.5]), good_g, BoundarySet(arcs=((0.0, 0.1),)), 0.1)
-    with pytest.raises(InvalidParameterError):
-        steer(CoeffSeries([1.0, -0.5]), good_g, E_ONE, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            steer(CoeffSeries([1.0, -0.5]), good_g, E_ONE, bad)
     with pytest.raises(InvalidParameterError):
         steer(CoeffSeries([-0.5, 1.0]), good_g, E_ONE, 0.1, space="dirichlet")
     with pytest.raises(InvalidInputError):

@@ -184,6 +184,59 @@ def test_gauss_newton_matrix_and_gradient_match_the_residual_jacobian(level, ban
     assert np.linalg.norm(cost_grad(p)[1] - g_ref) <= 1e-6 * np.linalg.norm(g_ref)
 
 
+def dense_gauss_newton(theta, v, base_width, w2, band):
+    """The Gauss-Newton matrix summed over every grid point, in grid chunks,
+    with H from the complex FFT of the hats, plus the floor block on the
+    columns where the floor is active."""
+    G = zerofree._G
+    hats = zerofree._hat_basis(theta, base_width)
+    S = np.fft.fft(hats, axis=1)[:, : band + 1] * zerofree._analytic_mask(band)
+    H = np.fft.ifft(S, G, axis=1)
+    point_row = S @ np.exp(1j * np.arange(band + 1) * theta) / G
+    nn = len(hats)
+
+    def gauss_newton(p):
+        F = (p[nn:] + 1j * p[:nn]) @ H
+        mod = np.sqrt(w2 / G) * np.exp(F.real)
+        M = zerofree.POINT_PENALTY * np.outer(np.conj(point_row), point_row)
+        for s in range(0, G, 2048):
+            K = H[:, s : s + 2048] * mod[s : s + 2048]
+            M += np.conj(K) @ K.T
+        Ha = H[:, F.real < -zerofree.RE_FLOOR]
+        R = np.concatenate([Ha.imag, -Ha.real])
+        A = np.block([[M.real, M.imag], [-M.imag, M.real]])
+        return 2.0 * (A + (zerofree.FLOOR_PENALTY / G) * (R @ R.T)), F
+
+    return gauss_newton
+
+
+@pytest.mark.parametrize("level,band", KERNEL_SIZES)
+def test_gauss_newton_matrix_matches_the_dense_grid_sum(level, band):
+    # The band-sized sum is exact, so it meets the sum over all G points to
+    # rounding, on both sides of L = G (L < G at band 64 and 1024, L = G at
+    # band 4096).
+    rng = np.random.default_rng(level + 2)
+    theta, v = 0.3, 0.7 + 0.4j
+    _, gauss_newton, x0, _ = zerofree._needle_objective(theta, v, 1.0 / level, W2, band)
+    reference = dense_gauss_newton(theta, v, 1.0 / level, W2, band)
+    for p in (x0, random_params(rng, len(x0)), random_params(rng, len(x0))):
+        A_ref, F = reference(p)
+        A = gauss_newton(p)
+        assert np.linalg.norm(A - A_ref) <= 1e-12 * np.linalg.norm(A_ref)
+    assert np.any(F.real < -zerofree.RE_FLOOR)
+
+
+def test_needle_ladder_past_pi_and_band_past_nyquist_are_refused():
+    # At level 1 the ladder's outer nodes lie 4 and 6 base widths out, past
+    # pi, where the last hat is zero and the Gauss-Newton matrix singular.
+    with pytest.raises(InvalidParameterError, match="reaches pi"):
+        zerofree._refined_needle(0.0, 0.3 + 0.2j, 1.0, W2, 64)
+    with pytest.raises(InvalidParameterError, match="Nyquist"):
+        zerofree._needle_objective(0.0, 0.3 + 0.2j, 1.0 / 8, W2, zerofree._G // 2 + 1)
+    c = zerofree._refined_needle(0.0, 0.3 + 0.2j, 0.5, W2, 64)
+    assert abs(evaluate(CoeffSeries(c), 1.0) - (0.3 + 0.2j)) < 1e-12
+
+
 def test_refined_needle_fits_through_one_minimize_call(monkeypatch):
     # perfbench's needle-fit span wraps zerofree.minimize and reads nit and
     # nfev off its result.
@@ -373,8 +426,13 @@ def test_rejections():
         simultaneous_zero_free(
             CoeffSeries([1.0, -0.5]), ok_target, BoundarySet(arcs=((0.0, 0.1),)), 0.1
         )
-    with pytest.raises(InvalidParameterError):
-        simultaneous_zero_free(CoeffSeries([1.0, -0.5]), ok_target, E_ONE, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            simultaneous_zero_free(CoeffSeries([1.0, -0.5]), ok_target, E_ONE, bad)
+        with pytest.raises(InvalidParameterError):
+            simultaneous_zero_free(
+                CoeffSeries([1.0, -0.5]), ok_target, E_ONE, 0.1, boundary_eps=bad
+            )
     with pytest.raises(InvalidParameterError):
         simultaneous_zero_free(CoeffSeries([1.0, -0.5]), ok_target, E_ONE, 0.1, space="pdq")
     with pytest.raises(InvalidInputError):
