@@ -86,6 +86,8 @@ POLISH_ROUNDS = 8
 F_L1_CAP = 300.0
 
 _G = 1 << NEEDLE_GRID_LOG2
+# A needle's band is half its degree; the real-FFT hat spectra end at G/2.
+assert DEGREE_CAP // 2 <= _G // 2
 _ANG = 2.0 * np.pi * np.arange(_G) / _G
 _GN_CHUNK = 2048
 
@@ -169,18 +171,13 @@ def _needle_objective(
     terms at the points theta_i = 2 pi i / L, with m cut to |d| <= band:
     L = min(G, least power of two above 2 band) leaves no alias at d = 0.
     At L = G the weight is used as it is.  The floor block keeps the grid
-    points where the floor is active.  The ladder must end short of pi (past
-    it the outer hats vanish and the matrix is singular), and the band must
-    stay within the grid's Nyquist frequency, where the real-FFT spectra end.
+    points where the floor is active.  The ladder must end short of pi:
+    past it the outer hats vanish and the matrix is singular.
     """
     nodes = np.asarray(NODE_LADDER, dtype=float) * (base_width / LADDER_SCALE)
     if nodes[-1] >= np.pi:
         raise InvalidParameterError(
             "needle ladder of base width %g reaches pi; its outer hats vanish" % base_width
-        )
-    if band > _G // 2:
-        raise InvalidParameterError(
-            "needle band %d exceeds the grid Nyquist frequency %d" % (band, _G // 2)
         )
     hats = _hat_basis(theta, base_width)
     nn = len(hats)
@@ -217,7 +214,9 @@ def _needle_objective(
         # |d r1 / d c|^2 = (w2/G) |exp(F)|^2 |H|^2: the phase of exp(F) cancels
         m = wg * np.exp(2.0 * F.real)
         if L < _G:
-            # G/L times m cut to the band, at the L subgrid points
+            # G/L times m cut to the band, at the L subgrid points; at L = G
+            # the grid sum is already exact and the cut would only add two
+            # size-G FFTs per call
             m = np.fft.irfft(np.fft.rfft(m)[: band + 1], L)
         M = POINT_PENALTY * np.outer(np.conj(point_row), point_row)
         for s in range(0, L, _GN_CHUNK):
